@@ -125,12 +125,12 @@ def total_cost(x: DesignVector, w: WeightVector,
 
 
 def objective_terms(A, l, u, e, eta, coeff: ObjectiveCoefficients):
-    """Vectorized surrogate evaluation; accepts scalars or numpy arrays."""
-    An = np.asarray(A) / coeff.A_max
-    ln = np.asarray(l) / coeff.l_max
-    u = np.asarray(u)
-    e = np.asarray(e)
-    eta = np.asarray(eta)
+    """Vectorized surrogate evaluation; accepts floats or numpy arrays.
+
+    Inputs are used as given, so float inputs give float scores at
+    scalar speed and array inputs give arrays."""
+    An = A / coeff.A_max
+    ln = l / coeff.l_max
 
     h = (coeff.kA * An**2 + coeff.kl * ln**2) / (coeff.kA + coeff.kl)
     c = (coeff.ku * u**2 + coeff.ke * e**2 + coeff.k_eta * eta**2) \
