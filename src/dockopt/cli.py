@@ -11,8 +11,17 @@ Subcommands::
 Configuration is a YAML/JSON document with sections ``scenario`` (built-in
 name) or ``problem`` (inline weights/bounds/constraints/x_init), plus
 optional ``coefficients``, ``solver``, ``simulation``, and ``output``.
-Unknown keys are rejected with the offending path named.  The environment
-variable ``DOCKOPT_SEED`` (integer) overrides every configured seed.
+
+The keys of a section that builds a dataclass are that class's field
+names: ``problem.weights`` (WeightVector), ``problem.x_init``,
+``problem.expected_x_star`` and ``problem.bounds.lower``/``upper``
+(DesignVector), ``problem.constraints`` (ConstraintSet), ``coefficients``
+(ObjectiveCoefficients), ``solver`` (SolverSettings) and
+``simulation.geometry`` (DockGeometry).  Integer fields take integral
+values only (``3`` or ``3.0``).  Every bad value, an unknown key included,
+is a configuration error naming its path, raised before any work starts.
+The environment variable ``DOCKOPT_SEED`` (integer) overrides every
+configured seed.
 
 Exit codes: 0 success/converged, 1 usage or configuration error,
 2 solver did not converge (or a numerical audit failed).
@@ -21,22 +30,24 @@ Exit codes: 0 success/converged, 1 usage or configuration error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import yaml
 
 from .domain import (DesignBounds, DesignVector, DockGeometry,
-                     InfeasibleRealizationError, WeightVector, default_bounds,
-                     realize_design)
+                     InfeasibleRealizationError, KinematicProfile,
+                     WeightVector, default_bounds, realize_design)
 from .objective import ObjectiveCoefficients, gradient_at, total_cost_arrays
 from .oracle import (SimulationConfig, rayleigh_success_probability,
                      simulate_docking)
-from .scenarios import (DEFAULT_X_INIT, Scenario, calibrate, scenario_by_name)
+from .scenarios import (DEFAULT_X_INIT, FREE_COEFFICIENTS, Scenario,
+                        calibrate, scenario_by_name)
 from .solver import (ConstraintSet, SolveResult, SolverSettings,
                      multi_start_solve, solve)
 
@@ -45,19 +56,6 @@ EXIT_CONFIG = 1
 EXIT_NOT_CONVERGED = 2
 
 CSV_HEADER = "p,q,r,s,A,l,u,e,eta,h,c,d,v,J,status"
-
-_VECTOR_KEYS = ("A", "l", "u", "e", "eta")
-_WEIGHT_KEYS = ("p", "q", "r", "s")
-_COEFF_KEYS = ("kA", "kl", "ku", "ke", "k_eta", "au", "ae", "a_eta",
-               "bA", "bl", "bu", "A_max", "l_max")
-_SOLVER_KEYS = ("barrier_initial", "barrier_shrink", "barrier_floor",
-                "kkt_tolerance", "max_outer_iterations",
-                "max_inner_iterations", "armijo_c", "backtrack_factor",
-                "multistart_count", "seed")
-_GEOMETRY_KEYS = ("theta1", "theta2", "phi1", "phi2", "clearance")
-_SIMULATION_KEYS = ("samples", "seed", "sigma_c", "authority_weight",
-                    "accuracy_weight", "geometry")
-_OUTPUT_KEYS = ("result", "csv")
 
 
 class ConfigError(ValueError):
@@ -81,86 +79,87 @@ class RunConfig:
     output_csv: str | None
 
 
-def _require_mapping(node, path: str) -> dict:
+def _mapping(node, path: str, allowed) -> dict:
+    """``node`` as a mapping whose keys all appear in ``allowed``."""
     if not isinstance(node, dict):
-        raise ConfigError(f"{path}: expected a mapping, got "
+        raise ConfigError(f"{path or 'config'}: expected a mapping, got "
                           f"{type(node).__name__}")
-    return node
-
-
-def _reject_unknown(node: dict, allowed: tuple[str, ...], path: str) -> None:
     for key in node:
         if key not in allowed:
             raise ConfigError(f"unknown key {path}.{key}" if path
                               else f"unknown key {key}")
+    return node
 
 
-def _number(node: dict, key: str, path: str, default=None) -> float:
-    if key not in node:
-        if default is None:
-            raise ConfigError(f"{path}.{key} is required")
-        return default
-    value = node[key]
+def _number(value, path: str, integer: bool = False) -> float | int:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _design_vector(node, path: str) -> DesignVector:
-    node = _require_mapping(node, path)
-    _reject_unknown(node, _VECTOR_KEYS, path)
-    values = {k: _number(node, k, path) for k in _VECTOR_KEYS}
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
     try:
-        return DesignVector(**values)
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    if not integer:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _construct(path: str, build, *args, **kwargs):
+    """Call ``build``; a ValueError from it becomes a ConfigError at ``path``."""
+    try:
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _build(cls, node, path: str, base=None):
+    """Build dataclass ``cls`` from a mapping keyed by its field names.
+
+    A key missing from ``node`` keeps its value in ``base`` and is required
+    when there is no ``base``.  A field whose ``base`` value is an int is
+    read as an integer.
+    """
+    names = [f.name for f in fields(cls)]
+    node = _mapping(node, path, names)
+    values = {}
+    for name in names:
+        if name in node:
+            values[name] = _number(node[name], f"{path}.{name}",
+                                   isinstance(getattr(base, name, None), int))
+        elif base is None:
+            raise ConfigError(f"{path}.{name} is required")
+    if base is None:
+        return _construct(path, cls, **values)
+    return _construct(path, replace, base, **values)
+
+
 def _parse_problem(node, path: str) -> Scenario:
-    node = _require_mapping(node, path)
-    _reject_unknown(node, ("weights", "bounds", "constraints", "x_init",
-                           "expected_x_star"), path)
-    weights_node = _require_mapping(node.get("weights"), f"{path}.weights")
-    _reject_unknown(weights_node, _WEIGHT_KEYS, f"{path}.weights")
-    try:
-        weights = WeightVector(**{k: _number(weights_node, k, f"{path}.weights")
-                                  for k in _WEIGHT_KEYS})
-    except ValueError as exc:
-        raise ConfigError(f"{path}.weights: {exc}") from exc
+    node = _mapping(node, path, ("weights", "bounds", "constraints",
+                                 "x_init", "expected_x_star"))
+    weights = _build(WeightVector, node.get("weights"), f"{path}.weights")
 
     bounds = default_bounds()
     if "bounds" in node:
-        bnode = _require_mapping(node["bounds"], f"{path}.bounds")
-        _reject_unknown(bnode, ("lower", "upper"), f"{path}.bounds")
-        try:
-            bounds = DesignBounds(
-                lower=_design_vector(bnode.get("lower"), f"{path}.bounds.lower"),
-                upper=_design_vector(bnode.get("upper"), f"{path}.bounds.upper"))
-        except ValueError as exc:
-            raise ConfigError(f"{path}.bounds: {exc}") from exc
+        bnode = _mapping(node["bounds"], f"{path}.bounds", ("lower", "upper"))
+        bounds = _construct(
+            f"{path}.bounds", DesignBounds,
+            lower=_build(DesignVector, bnode.get("lower"),
+                         f"{path}.bounds.lower"),
+            upper=_build(DesignVector, bnode.get("upper"),
+                         f"{path}.bounds.upper"))
 
-    constraints = ConstraintSet()
-    if "constraints" in node:
-        cnode = _require_mapping(node["constraints"], f"{path}.constraints")
-        _reject_unknown(cnode, ("volume_min", "tolerance_ratio_min"),
-                        f"{path}.constraints")
-        try:
-            constraints = ConstraintSet(
-                volume_min=_number(cnode, "volume_min", f"{path}.constraints",
-                                   ConstraintSet().volume_min),
-                tolerance_ratio_min=_number(cnode, "tolerance_ratio_min",
-                                            f"{path}.constraints",
-                                            ConstraintSet().tolerance_ratio_min))
-        except ValueError as exc:
-            raise ConfigError(f"{path}.constraints: {exc}") from exc
-
+    constraints = _build(ConstraintSet, node.get("constraints", {}),
+                         f"{path}.constraints", ConstraintSet())
     x_init = DEFAULT_X_INIT
     if "x_init" in node:
-        x_init = _design_vector(node["x_init"], f"{path}.x_init")
+        x_init = _build(DesignVector, node["x_init"], f"{path}.x_init")
     expected = None
     if "expected_x_star" in node:
-        expected = _design_vector(node["expected_x_star"],
-                                  f"{path}.expected_x_star")
+        expected = _build(DesignVector, node["expected_x_star"],
+                          f"{path}.expected_x_star")
     return Scenario(name="custom", weights=weights, bounds=bounds,
                     constraints=constraints, x_init=x_init,
                     expected_x_star=expected)
@@ -177,9 +176,8 @@ def load_config(path: str, need_problem: bool = True) -> RunConfig:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if document is None:
         document = {}
-    document = _require_mapping(document, "config")
-    _reject_unknown(document, ("scenario", "problem", "coefficients",
-                               "solver", "simulation", "output"), "")
+    document = _mapping(document, "", ("scenario", "problem", "coefficients",
+                                       "solver", "simulation", "output"))
 
     if "scenario" in document and "problem" in document:
         raise ConfigError("config sets both scenario and problem; choose one")
@@ -198,67 +196,24 @@ def load_config(path: str, need_problem: bool = True) -> RunConfig:
     else:
         scenario = scenario_by_name("general")
 
-    coefficients = ObjectiveCoefficients()
-    if "coefficients" in document:
-        cnode = _require_mapping(document["coefficients"], "coefficients")
-        _reject_unknown(cnode, _COEFF_KEYS, "coefficients")
-        overrides = {k: _number(cnode, k, "coefficients") for k in cnode}
-        try:
-            coefficients = ObjectiveCoefficients(**{
-                **ObjectiveCoefficients().as_dict(), **overrides})
-        except ValueError as exc:
-            raise ConfigError(f"coefficients: {exc}") from exc
+    coefficients = _build(ObjectiveCoefficients,
+                          document.get("coefficients", {}), "coefficients",
+                          ObjectiveCoefficients())
+    settings = _build(SolverSettings, document.get("solver", {}), "solver",
+                      SolverSettings())
 
-    settings = SolverSettings()
-    if "solver" in document:
-        snode = _require_mapping(document["solver"], "solver")
-        _reject_unknown(snode, _SOLVER_KEYS, "solver")
-        defaults = SolverSettings()
-        values = {}
-        for key in _SOLVER_KEYS:
-            values[key] = _number(snode, key, "solver",
-                                  float(getattr(defaults, key)))
-        for key in ("max_outer_iterations", "max_inner_iterations",
-                    "multistart_count", "seed"):
-            values[key] = int(values[key])
-        try:
-            settings = SolverSettings(**values)
-        except ValueError as exc:
-            raise ConfigError(f"solver: {exc}") from exc
-
-    sigma_c = 0.1
-    authority_weight = 1.0
-    accuracy_weight = 1.0
-    samples = 100_000
-    sim_seed = settings.seed
+    simulation = {"sigma_c": 0.1, "authority_weight": 1.0,
+                  "accuracy_weight": 1.0, "samples": 100_000,
+                  "seed": settings.seed}
+    mnode = _mapping(document.get("simulation", {}), "simulation",
+                     (*simulation, "geometry"))
     geometry = None
-    if "simulation" in document:
-        mnode = _require_mapping(document["simulation"], "simulation")
-        _reject_unknown(mnode, _SIMULATION_KEYS, "simulation")
-        sigma_c = _number(mnode, "sigma_c", "simulation", 0.1)
-        authority_weight = _number(mnode, "authority_weight", "simulation", 1.0)
-        accuracy_weight = _number(mnode, "accuracy_weight", "simulation", 1.0)
-        samples = int(_number(mnode, "samples", "simulation", 100_000))
-        sim_seed = int(_number(mnode, "seed", "simulation", settings.seed))
-        if "geometry" in mnode:
-            gnode = _require_mapping(mnode["geometry"], "simulation.geometry")
-            _reject_unknown(gnode, _GEOMETRY_KEYS, "simulation.geometry")
-            try:
-                geometry = DockGeometry(**{k: _number(gnode, k,
-                                                      "simulation.geometry")
-                                           for k in _GEOMETRY_KEYS})
-            except ValueError as exc:
-                raise ConfigError(f"simulation.geometry: {exc}") from exc
-
-    output_result = output_csv = None
-    if "output" in document:
-        onode = _require_mapping(document["output"], "output")
-        _reject_unknown(onode, _OUTPUT_KEYS, "output")
-        for key in _OUTPUT_KEYS:
-            if key in onode and not isinstance(onode[key], str):
-                raise ConfigError(f"output.{key}: expected a path string")
-        output_result = onode.get("result")
-        output_csv = onode.get("csv")
+    for key, value in mnode.items():
+        if key == "geometry":
+            geometry = _build(DockGeometry, value, "simulation.geometry")
+        else:
+            simulation[key] = _number(value, f"simulation.{key}",
+                                      isinstance(simulation[key], int))
 
     env_seed = os.environ.get("DOCKOPT_SEED")
     if env_seed is not None:
@@ -267,20 +222,32 @@ def load_config(path: str, need_problem: bool = True) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"DOCKOPT_SEED must be an integer, got "
                               f"{env_seed!r}") from exc
-        settings = SolverSettings(**{**_settings_dict(settings), "seed": seed})
-        sim_seed = seed
+        settings = _construct("DOCKOPT_SEED", replace, settings, seed=seed)
+        simulation["seed"] = seed
+
+    # The vehicle profile and the simulation own these rules; checking them
+    # here stops a bad value before any solve or sampling starts.
+    _construct("simulation", KinematicProfile, 1, simulation["sigma_c"],
+               simulation["authority_weight"], simulation["accuracy_weight"])
+    if geometry is not None:
+        _construct("simulation", SimulationConfig, geometry,
+                   simulation["sigma_c"], simulation["samples"],
+                   simulation["seed"])
+
+    output = _mapping(document.get("output", {}), "output", ("result", "csv"))
+    for key, value in output.items():
+        if not isinstance(value, str):
+            raise ConfigError(f"output.{key}: expected a path string")
 
     return RunConfig(scenario=scenario, coefficients=coefficients,
-                     settings=settings, sigma_c=sigma_c,
-                     authority_weight=authority_weight,
-                     accuracy_weight=accuracy_weight,
-                     simulation_samples=samples, simulation_seed=sim_seed,
+                     settings=settings, sigma_c=simulation["sigma_c"],
+                     authority_weight=simulation["authority_weight"],
+                     accuracy_weight=simulation["accuracy_weight"],
+                     simulation_samples=simulation["samples"],
+                     simulation_seed=simulation["seed"],
                      simulation_geometry=geometry,
-                     output_result=output_result, output_csv=output_csv)
-
-
-def _settings_dict(settings: SolverSettings) -> dict:
-    return {key: getattr(settings, key) for key in _SOLVER_KEYS}
+                     output_result=output.get("result"),
+                     output_csv=output.get("csv"))
 
 
 def _fmt(value: float) -> str:
@@ -288,13 +255,10 @@ def _fmt(value: float) -> str:
 
 
 def _result_record(result: SolveResult, weights: WeightVector) -> dict:
-    x = result.x_star
     return {
         "weights": weights.as_dict(),
-        "x_star": dict(zip(_VECTOR_KEYS, x.as_tuple())),
-        "objective": {"h": result.objective.h, "c": result.objective.c,
-                      "d": result.objective.d, "v": result.objective.v,
-                      "J": result.objective.J},
+        "x_star": asdict(result.x_star),
+        "objective": asdict(result.objective),
         "kkt_residual": result.kkt_residual,
         "constraint_values": {"volume": result.constraint_values[0],
                               "tolerance_ratio": result.constraint_values[1]},
@@ -314,9 +278,9 @@ def _print_report(scenario: Scenario, result: SolveResult,
     print(f"status:   {result.status.value}  (KKT residual "
           f"{result.kkt_residual:.3e}, {result.iterations} inner iterations)")
     print("optimal design:")
-    units = {"A": "m^2", "l": "m", "u": "", "e": "", "eta": ""}
-    for key, value in zip(_VECTOR_KEYS, x.as_tuple()):
-        print(f"  {key:3s} = {value:.6g} {units[key]}".rstrip())
+    units = {"A": "m^2", "l": "m"}
+    for key, value in asdict(x).items():
+        print(f"  {key:3s} = {value:.6g} {units.get(key, '')}".rstrip())
     o = result.objective
     print(f"objectives: h={o.h:.6g} c={o.c:.6g} d={o.d:.6g} v={o.v:.6g}  "
           f"J={o.J:.6g}")
@@ -372,8 +336,9 @@ def _parse_axis(spec: str) -> tuple[str, float, float, int]:
     except ValueError as exc:
         raise ConfigError(f"axis spec {spec!r} must look like "
                           "COMPONENT=START:STOP:STEPS") from exc
-    if component not in _WEIGHT_KEYS:
-        raise ConfigError(f"axis component must be one of {_WEIGHT_KEYS}, "
+    names = tuple(f.name for f in fields(WeightVector))
+    if component not in names:
+        raise ConfigError(f"axis component must be one of {names}, "
                           f"got {component!r}")
     if steps < 1:
         raise ConfigError(f"axis steps must be >= 1, got {steps}")
@@ -398,17 +363,19 @@ def cmd_sweep(config_path: str, axis_specs: list[str]) -> int:
 
     grids = [_axis_values(start, stop, steps)
              for _, start, stop, steps in axes]
-    points: list[dict[str, float]] = []
-    if len(axes) == 1:
-        points = [{axes[0][0]: v} for v in grids[0]]
-    else:
-        points = [{axes[0][0]: v0, axes[1][0]: v1}
-                  for v0 in grids[0] for v1 in grids[1]]
+    points = [dict(zip([axis[0] for axis in axes], values))
+              for values in itertools.product(*grids)]
+
+    # Every weight vector is checked before the first solve runs.
+    sweep_weights = [
+        _construct("--axis " + ", ".join(f"{k}={v:g}"
+                                         for k, v in overrides.items()),
+                   replace, scenario.weights, **overrides)
+        for overrides in points]
 
     rows = []
     all_converged = True
-    for overrides in points:
-        weights = WeightVector(**{**scenario.weights.as_dict(), **overrides})
+    for weights in sweep_weights:
         result = multi_start_solve(weights, config.coefficients,
                                    scenario.bounds, scenario.constraints,
                                    config.settings)
@@ -431,6 +398,8 @@ def cmd_sweep(config_path: str, axis_specs: list[str]) -> int:
 
 def cmd_calibrate(config_path: str, budget: int = 1500) -> int:
     """Fit surrogate coefficients to the scenario's expected optimum."""
+    if budget < 1:
+        raise ConfigError(f"--budget must be >= 1, got {budget}")
     config = load_config(config_path)
     scenario = config.scenario
     if scenario.expected_x_star is None:
@@ -438,16 +407,17 @@ def cmd_calibrate(config_path: str, budget: int = 1500) -> int:
                           "expected_x_star to calibrate against")
     outcome = calibrate(scenario, config.coefficients, budget,
                         config.settings)
-    print(f"calibrated {len(outcome.coefficients.as_dict())} coefficients "
+    print(f"calibrated {len(FREE_COEFFICIENTS)} coefficients "
           f"against scenario {scenario.name!r}")
     print(f"evaluations: {outcome.evaluations}  residual (L2^2): "
           f"{outcome.residual:.6g}")
     for key, value in outcome.coefficients.as_dict().items():
         print(f"  {key:6s} = {value:.9g}")
     print("solved optimum vs target:")
-    target = scenario.expected_x_star
-    for key, got, want in zip(_VECTOR_KEYS, outcome.x_star.as_tuple(),
-                              target.as_tuple()):
+    x_star = asdict(outcome.x_star)
+    target = asdict(scenario.expected_x_star)
+    for key, got in x_star.items():
+        want = target[key]
         rel = abs(got - want) / abs(want) if want else math.inf
         print(f"  {key:3s} = {got:.6g}  target {want:.6g}  rel err {rel:.3f}")
     if config.output_result:
@@ -456,8 +426,8 @@ def cmd_calibrate(config_path: str, budget: int = 1500) -> int:
             "coefficients": outcome.coefficients.as_dict(),
             "residual": outcome.residual,
             "evaluations": outcome.evaluations,
-            "x_star": dict(zip(_VECTOR_KEYS, outcome.x_star.as_tuple())),
-            "target": dict(zip(_VECTOR_KEYS, target.as_tuple())),
+            "x_star": x_star,
+            "target": target,
         }
         _write_json(config.output_result, record)
         print(f"calibration record written to {config.output_result}")

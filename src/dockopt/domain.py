@@ -13,7 +13,7 @@ deterministic inverse mapping back to physical parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 FULL_SPHERE = 4.0 * math.pi
 
@@ -82,7 +82,7 @@ class WeightVector:
             raise ValueError("at least one weight must be strictly positive")
 
     def as_dict(self) -> dict[str, float]:
-        return {"p": self.p, "q": self.q, "r": self.r, "s": self.s}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def scaled(self, factor: float) -> "WeightVector":
         return WeightVector(self.p * factor, self.q * factor,
@@ -97,10 +97,10 @@ class DesignBounds:
     upper: DesignVector
 
     def __post_init__(self) -> None:
-        for lo, hi, name in zip(self.lower.as_tuple(), self.upper.as_tuple(),
-                                ("A", "l", "u", "e", "eta")):
+        for f in fields(DesignVector):
+            lo, hi = getattr(self.lower, f.name), getattr(self.upper, f.name)
             if not lo < hi:
-                raise ValueError(f"bound on {name} requires lower < upper, "
+                raise ValueError(f"bound on {f.name} requires lower < upper, "
                                  f"got [{lo}, {hi}]")
 
     def contains(self, x: DesignVector, slack: float = 0.0) -> bool:
@@ -136,9 +136,13 @@ class KinematicProfile:
         if self.dof_count not in (1, 2, 3, 4, 5, 6):
             raise ValueError(f"dof_count must be an integer in 1..6, got {self.dof_count}")
         if not (math.isfinite(self.control_error_sigma) and self.control_error_sigma > 0.0):
-            raise ValueError("control_error_sigma must be positive and finite")
-        if self.authority_weight < 0.0 or self.accuracy_weight < 0.0:
-            raise ValueError("authority/accuracy weights must be >= 0")
+            raise ValueError(f"control error sigma_c must be positive and "
+                             f"finite, got {self.control_error_sigma}")
+        if not all(math.isfinite(w) and w >= 0.0
+                   for w in (self.authority_weight, self.accuracy_weight)):
+            raise ValueError(f"authority_weight and accuracy_weight must be "
+                             f"finite and >= 0, got {self.authority_weight}, "
+                             f"{self.accuracy_weight}")
         if self.authority_weight + self.accuracy_weight <= 0.0:
             raise ValueError("authority_weight + accuracy_weight must be positive")
 

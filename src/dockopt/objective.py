@@ -19,7 +19,7 @@ vectorized evaluation over design grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -51,8 +51,7 @@ class ObjectiveCoefficients:
     l_max: float = 3.0
 
     def __post_init__(self) -> None:
-        for name in ("kA", "kl", "ku", "ke", "k_eta", "au", "ae", "a_eta",
-                     "bA", "bl", "bu"):
+        for name in _COEFFICIENT_NAMES:
             if getattr(self, name) < 0.0:
                 raise ValueError(f"coefficient {name} must be >= 0")
         if self.kA + self.kl <= 0.0:
@@ -67,12 +66,15 @@ class ObjectiveCoefficients:
             raise ValueError("normalizers A_max, l_max must be positive")
 
     def as_dict(self) -> dict[str, float]:
-        return {name: float(getattr(self, name)) for name in (
-            "kA", "kl", "ku", "ke", "k_eta", "au", "ae", "a_eta",
-            "bA", "bl", "bu", "A_max", "l_max")}
+        return {name: float(getattr(self, name))
+                for name in _COEFFICIENT_NAMES}
 
     def replace(self, **changes: float) -> "ObjectiveCoefficients":
         return replace(self, **changes)
+
+
+# Computed once: __post_init__ runs on every calibration evaluation.
+_COEFFICIENT_NAMES = tuple(f.name for f in fields(ObjectiveCoefficients))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,9 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.sigma_c) and self.sigma_c > 0.0):
             raise ValueError("sigma_c must be positive and finite")
 

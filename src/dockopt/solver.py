@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from scipy.stats import qmc
 
@@ -48,7 +48,7 @@ from .domain import DesignBounds, DesignVector, WeightVector
 from .objective import (ObjectiveCoefficients, ObjectiveValues, gradient_at,
                         total_cost, total_cost_arrays)
 
-_VAR_NAMES = ("A", "l", "u", "e", "eta")
+_VAR_NAMES = tuple(f.name for f in fields(DesignVector))
 _MIN_STEP = 1e-16
 _ACTIVE_SLACK = 1e-6
 
@@ -85,13 +85,12 @@ class SolverSettings:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        positive = ("barrier_initial", "barrier_shrink", "barrier_floor",
-                    "kkt_tolerance", "max_outer_iterations",
-                    "max_inner_iterations", "armijo_c", "backtrack_factor",
-                    "multistart_count")
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"solver setting {name} must be positive")
+        for f in fields(self):
+            if f.name != "seed" and getattr(self, f.name) <= 0:
+                raise ValueError(f"solver setting {f.name} must be positive")
+        if self.seed < 0:
+            raise ValueError(f"solver setting seed must be >= 0, got "
+                             f"{self.seed}")
         if self.barrier_shrink >= 1.0:
             raise ValueError("barrier_shrink must be in (0, 1)")
         if self.backtrack_factor >= 1.0:

@@ -1,13 +1,17 @@
 """Command-line interface: configs, reports, CSV contract, exit codes."""
 
+import copy
 import json
 import math
+from dataclasses import fields
 
 import pytest
 import yaml
 
-from dockopt import SolverSettings, multi_start_solve
-from dockopt.cli import CSV_HEADER, main
+from dockopt import (ConstraintSet, DesignVector, DockGeometry,
+                     ObjectiveCoefficients, SolverSettings, WeightVector,
+                     multi_start_solve)
+from dockopt.cli import CSV_HEADER, ConfigError, load_config, main
 from dockopt.scenarios import scenario_by_name
 
 FAST_SOLVER = {"multistart_count": 4, "seed": 0}
@@ -239,10 +243,268 @@ class TestCalibrateCommand:
 
 
 def scenario_coeff():
-    from dockopt import ObjectiveCoefficients
     return ObjectiveCoefficients()
 
 
 def test_command_required(capsys):
     assert main([]) == 1
     capsys.readouterr()
+
+
+# --- Config sections built from dataclass fields ---------------------------
+#
+# Each dataclass-backed section takes exactly the field names of the class
+# it builds.  The cases below are generated from ``dataclasses.fields``, so
+# a new field is covered without editing this table.
+
+_X = {"A": 0.03, "l": 1.5, "u": 0.5, "e": 0.5, "eta": 0.5}
+_GEOMETRY = {"theta1": 0.0, "theta2": 2 * math.pi, "phi1": 0.0,
+             "phi2": math.pi / 2, "clearance": 0.2}
+_BASE_DOCUMENT = {
+    "problem": {"weights": {"p": 1.0, "q": 1.0, "r": 1.0, "s": 1.0},
+                "x_init": dict(_X), "expected_x_star": dict(_X),
+                "bounds": {"lower": {"A": 0.01, "l": 0.5, "u": 0.083,
+                                     "e": 0.177, "eta": 0.0},
+                           "upper": {"A": 1.0, "l": 3.0, "u": 1.0,
+                                     "e": 0.855, "eta": 1.0}},
+                "constraints": {}},
+    "coefficients": {},
+    "solver": {},
+    "simulation": {"geometry": dict(_GEOMETRY)},
+}
+# (dotted path, class, built object from a RunConfig, fields required?)
+_SECTIONS = [
+    ("problem.weights", WeightVector, lambda c: c.scenario.weights, True),
+    ("problem.x_init", DesignVector, lambda c: c.scenario.x_init, True),
+    ("problem.expected_x_star", DesignVector,
+     lambda c: c.scenario.expected_x_star, True),
+    ("problem.bounds.lower", DesignVector,
+     lambda c: c.scenario.bounds.lower, True),
+    ("problem.bounds.upper", DesignVector,
+     lambda c: c.scenario.bounds.upper, True),
+    ("problem.constraints", ConstraintSet,
+     lambda c: c.scenario.constraints, False),
+    ("coefficients", ObjectiveCoefficients, lambda c: c.coefficients, False),
+    ("solver", SolverSettings, lambda c: c.settings, False),
+    ("simulation.geometry", DockGeometry,
+     lambda c: c.simulation_geometry, True),
+]
+
+
+def _field_cases(required_only=False):
+    return [pytest.param(path, cls, built, f.name, id=f"{path}.{f.name}")
+            for path, cls, built, required in _SECTIONS
+            if required or not required_only for f in fields(cls)]
+
+
+def _section(document, path):
+    node = document
+    for key in path.split("."):
+        node = node[key]
+    return node
+
+
+def _document_with(path, name, value):
+    document = copy.deepcopy(_BASE_DOCUMENT)
+    _section(document, path)[name] = value
+    return document
+
+
+def _load(tmp_path, document):
+    return load_config(write_config(tmp_path, **document))
+
+
+def _old_value(path, cls, name):
+    section = _section(_BASE_DOCUMENT, path)
+    return section[name] if name in section else getattr(cls(), name)
+
+
+@pytest.mark.parametrize("path, cls, built, name", _field_cases())
+def test_each_field_reaches_the_built_object(tmp_path, path, cls, built,
+                                             name):
+    old = _old_value(path, cls, name)
+    new = old + 1 if isinstance(old, int) else old * 0.8 + 0.01
+    assert new != old
+    config = _load(tmp_path, _document_with(path, name, new))
+    got = getattr(built(config), name)
+    assert got == pytest.approx(new)
+    assert isinstance(got, int) == isinstance(old, int)
+
+
+@pytest.mark.parametrize("path, cls, built, required", _SECTIONS,
+                         ids=[s[0] for s in _SECTIONS])
+def test_unknown_key_named_with_full_path(tmp_path, path, cls, built,
+                                          required):
+    with pytest.raises(ConfigError, match=rf"unknown key {path}\.bogus"):
+        _load(tmp_path, _document_with(path, "bogus", 1.0))
+
+
+@pytest.mark.parametrize("path, cls, built, name",
+                         _field_cases(required_only=True))
+def test_missing_required_key_named(tmp_path, path, cls, built, name):
+    document = copy.deepcopy(_BASE_DOCUMENT)
+    del _section(document, path)[name]
+    with pytest.raises(ConfigError, match=rf"{path}\.{name}\b"):
+        _load(tmp_path, document)
+
+
+@pytest.mark.parametrize("path, cls, built, name", _field_cases())
+def test_non_number_rejected(tmp_path, path, cls, built, name):
+    for value in ("abc", True, None, [1.0]):
+        with pytest.raises(ConfigError, match=rf"{path}\.{name}\b"):
+            _load(tmp_path, _document_with(path, name, value))
+
+
+@pytest.mark.parametrize("path, cls, built, name", _field_cases())
+def test_non_finite_number_rejected(tmp_path, path, cls, built, name):
+    for value in (math.nan, math.inf, -math.inf, 10**400):
+        with pytest.raises(ConfigError, match=rf"{path}\.{name}\b"):
+            _load(tmp_path, _document_with(path, name, value))
+
+
+def test_integral_float_accepted_for_integer_field(tmp_path):
+    config = _load(tmp_path, {"scenario": "general",
+                              "solver": {"max_outer_iterations": 3.0}})
+    assert config.settings.max_outer_iterations == 3
+    assert isinstance(config.settings.max_outer_iterations, int)
+
+
+# --- JSON record contracts ---------------------------------------------------
+
+def _key_paths(record, prefix=""):
+    paths = set()
+    for key, value in record.items():
+        paths.add(prefix + key)
+        if isinstance(value, dict):
+            paths |= _key_paths(value, f"{prefix}{key}.")
+    return paths
+
+
+_X_KEYS = {"A", "l", "u", "e", "eta"}
+
+
+def _nested(name, keys):
+    return {name} | {f"{name}.{k}" for k in keys}
+
+
+def test_solve_record_keys(tmp_path, capsys):
+    cfg = write_config(tmp_path, scenario="general", solver=FAST_SOLVER,
+                       output={"result": str(tmp_path / "r.json")})
+    assert main(["solve", cfg]) == 0
+    capsys.readouterr()
+    record = json.loads((tmp_path / "r.json").read_text())
+    assert _key_paths(record) == (
+        {"scenario", "kkt_residual", "active_set", "iterations", "status",
+         "start_index", "basin_agreement", "multimodal"}
+        | _nested("weights", "pqrs") | _nested("x_star", _X_KEYS)
+        | _nested("objective", {"h", "c", "d", "v", "J"})
+        | _nested("constraint_values", {"volume", "tolerance_ratio"}))
+
+
+def test_calibrate_record_keys(tmp_path, capsys):
+    cfg = write_config(tmp_path, scenario="general",
+                       solver={"multistart_count": 2, "seed": 0},
+                       output={"result": str(tmp_path / "cal.json")})
+    assert main(["calibrate", cfg, "--budget", "2"]) == 0
+    capsys.readouterr()
+    record = json.loads((tmp_path / "cal.json").read_text())
+    assert _key_paths(record) == (
+        {"scenario", "residual", "evaluations"}
+        | _nested("coefficients", {"kA", "kl", "ku", "ke", "k_eta", "au",
+                                   "ae", "a_eta", "bA", "bl", "bu", "A_max",
+                                   "l_max"})
+        | _nested("x_star", _X_KEYS) | _nested("target", _X_KEYS))
+
+
+def test_simulate_record_keys(tmp_path, capsys):
+    cfg = write_config(tmp_path, simulation={"samples": 1000,
+                                             "geometry": _GEOMETRY},
+                       output={"result": str(tmp_path / "sim.json")})
+    assert main(["simulate", cfg]) == 0
+    capsys.readouterr()
+    record = json.loads((tmp_path / "sim.json").read_text())
+    assert _key_paths(record) == {"samples", "success_rate",
+                                  "ci_halfwidth_95", "closed_form"}
+
+
+# --- Bad input is a config error before any work ----------------------------
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Make any solve or calibration in the CLI fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve ran on a bad config")
+    for name in ("solve", "multi_start_solve", "calibrate"):
+        monkeypatch.setattr(f"dockopt.cli.{name}", refuse)
+
+
+def config_error(capsys, argv, *names):
+    """Run the CLI, expect exit 1 with a config error naming every name."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    for name in names:
+        assert name in err
+    return err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sigma_c", -0.1), ("sigma_c", math.nan), ("sigma_c", 0.0),
+    ("authority_weight", -1.0), ("accuracy_weight", -1.0),
+    ("authority_weight", math.nan), ("accuracy_weight", math.inf)])
+def test_bad_simulation_value_rejected_before_solve(tmp_path, capsys,
+                                                   no_solve, key, value):
+    cfg = write_config(tmp_path, scenario="general", simulation={key: value})
+    config_error(capsys, ["solve", cfg], "simulation", key)
+
+
+@pytest.mark.parametrize("key, value", [("samples", 0), ("samples", 2.5),
+                                        ("seed", -1), ("seed", 1.5)])
+def test_bad_simulate_count_rejected(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, simulation={key: value,
+                                             "geometry": _GEOMETRY})
+    config_error(capsys, ["simulate", cfg], "simulation", key)
+
+
+def test_negative_solver_seed_rejected(tmp_path, capsys, no_solve):
+    cfg = write_config(tmp_path, scenario="general", solver={"seed": -1})
+    config_error(capsys, ["solve", cfg, "--multistart"], "solver", "seed")
+
+
+def test_negative_env_seed_rejected(tmp_path, capsys, no_solve, monkeypatch):
+    cfg = write_config(tmp_path, scenario="general")
+    monkeypatch.setenv("DOCKOPT_SEED", "-1")
+    config_error(capsys, ["solve", cfg, "--multistart"], "DOCKOPT_SEED")
+
+
+@pytest.mark.parametrize("key, value", [("max_outer_iterations", 2.9),
+                                        ("multistart_count", 0.5),
+                                        ("seed", 1e-3)])
+def test_non_integral_solver_count_rejected(tmp_path, capsys, no_solve, key,
+                                            value):
+    cfg = write_config(tmp_path, scenario="general", solver={key: value})
+    err = config_error(capsys, ["solve", cfg], f"solver.{key}")
+    assert "positive" not in err
+
+
+def test_zero_budget_rejected(tmp_path, capsys, no_solve):
+    cfg = write_config(tmp_path, scenario="general")
+    config_error(capsys, ["calibrate", cfg, "--budget", "0"], "budget")
+
+
+@pytest.mark.parametrize("axis", ["q=-1:2:3", "q=nan:2:3", "q=2:-1:3",
+                                  "q=inf:1:1"])
+def test_bad_sweep_axis_rejected_before_solve(tmp_path, capsys, no_solve,
+                                              axis):
+    cfg = write_config(tmp_path, scenario="general")
+    config_error(capsys, ["sweep", cfg, "--axis", "r=1:2:2", "--axis", axis],
+                 "q")
+
+
+def test_calibrate_reports_fitted_count(tmp_path, capsys):
+    cfg = write_config(tmp_path, scenario="general",
+                       solver={"multistart_count": 2, "seed": 0})
+    assert main(["calibrate", cfg, "--budget", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("calibrated 7 coefficients")
