@@ -238,6 +238,9 @@ def load_config(path: str, need_problem: bool = True) -> RunConfig:
     for key, value in output.items():
         if not isinstance(value, str):
             raise ConfigError(f"output.{key}: expected a path string")
+        if not os.path.isdir(os.path.dirname(value) or "."):
+            raise ConfigError(f"output.{key}: directory of {value!r} does "
+                              "not exist")
 
     return RunConfig(scenario=scenario, coefficients=coefficients,
                      settings=settings, sigma_c=simulation["sigma_c"],
@@ -266,8 +269,6 @@ def _result_record(result: SolveResult, weights: WeightVector) -> dict:
         "iterations": result.iterations,
         "status": result.status.value,
         "start_index": result.start_index,
-        "basin_agreement": result.basin_agreement,
-        "multimodal": result.multimodal,
     }
 
 

@@ -19,6 +19,7 @@ vectorized evaluation over design grids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -52,8 +53,10 @@ class ObjectiveCoefficients:
 
     def __post_init__(self) -> None:
         for name in _COEFFICIENT_NAMES:
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"coefficient {name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"coefficient {name} must be finite and "
+                                 f">= 0, got {value}")
         if self.kA + self.kl <= 0.0:
             raise ValueError("hydrodynamic coefficients kA + kl must be positive")
         if self.ku + self.ke + self.k_eta <= 0.0:

@@ -12,21 +12,33 @@ barrier objective
 
     B(z, mu) = J(x(z)) - mu * sum(log(scaled slacks))
 
-is minimized by damped Newton steps on the exact (closed-form, 5x5)
-barrier Hessian with Armijo backtracking, shrinking any step that would
-leave the strict interior.  Each Newton direction comes from a
-hand-written 5x5 Cholesky factorisation of H + damping * I, with no
-damping first and Levenberg damping escalated only if the factorisation
-fails or the step is not a descent direction.  Slack arguments are scaled
-by the variable ranges (bounds) or by the constraint thresholds, so mu
-acts uniformly across heterogeneous units.  First-order optimality is
-measured with primal multiplier estimates lambda_i = mu / slack_i; the
-reported KKT residual is max(stationarity, mu), mu being the
-complementarity gap the barrier leaves against the original problem.
+is minimized by Newton steps on the exact (closed-form, 5x5) barrier
+Hessian with Armijo backtracking, shrinking any step that would leave the
+strict interior.  Slack arguments are scaled by the variable ranges
+(bounds) or by the constraint thresholds, so mu acts uniformly across
+heterogeneous units.  First-order optimality is measured with primal
+multiplier estimates lambda_i = mu / slack_i; the reported KKT residual
+is max(stationarity, mu), mu being the complementarity gap the barrier
+leaves against the original problem.
 
-Multi-start globalization draws Latin-hypercube start points over the
-box (deterministic in the seed), repairs them to the interior, and
-returns the best converged run.
+The barrier is strictly convex on the interior for mu > 0 (Boyd &
+Vandenberghe, Convex Optimization, sections 3.1 and 11.2):
+
+* J is a sum of convex quadratics and linear terms, because weights and
+  coefficients are >= 0.
+* The box terms -log z and -log(1 - z) are strictly convex.
+* -log(A*l - V) has Hessian [[l^2, V], [V, A^2]] / f^2 in (A, l), with
+  f = A*l - V > 0: its diagonal is >= 0 and its determinant
+  (A^2 l^2 - V^2) / f^4 is > 0.
+* -log(eta/A - R) = -log(eta - R*A) + log A.  The curvature -1/A^2 of
+  log A is dominated by the A-lower box term's 1/(A - A_lo)^2, because
+  DesignVector makes A_lo > 0.
+
+So the Hessian is positive definite and one Cholesky solve gives a
+descent direction; it fails only on a nan or an overflow.  Every start
+that converges reaches the same optimum.  Multi-start draws
+Latin-hypercube start points over the box (deterministic in the seed),
+repairs them to the interior and returns the best run.
 
 The solve loop works on plain Python floats: points, gradients and
 directions are lists of 5 floats and the Hessian is a 5x5 list of lists,
@@ -62,8 +74,11 @@ class ConstraintSet:
     tolerance_ratio_min: float = 1.5
 
     def __post_init__(self) -> None:
-        if self.volume_min < 0.0 or self.tolerance_ratio_min < 0.0:
-            raise ValueError("constraint thresholds must be >= 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"constraint threshold {f.name} must be "
+                                 f"finite and >= 0, got {value}")
 
     def values(self, x: DesignVector) -> tuple[float, float]:
         """Raw constraint values (g1, g2); feasible iff both >= 0."""
@@ -86,11 +101,12 @@ class SolverSettings:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if f.name != "seed" and getattr(self, f.name) <= 0:
-                raise ValueError(f"solver setting {f.name} must be positive")
-        if self.seed < 0:
-            raise ValueError(f"solver setting seed must be >= 0, got "
-                             f"{self.seed}")
+            value = getattr(self, f.name)
+            least = ">= 0" if f.name == "seed" else "positive"
+            if not (math.isfinite(value)
+                    and (value >= 0 if f.name == "seed" else value > 0)):
+                raise ValueError(f"solver setting {f.name} must be finite "
+                                 f"and {least}, got {value}")
         if self.barrier_shrink >= 1.0:
             raise ValueError("barrier_shrink must be in (0, 1)")
         if self.backtrack_factor >= 1.0:
@@ -124,8 +140,6 @@ class SolveResult:
     iterations: int
     status: SolverStatus
     start_index: int = 0
-    basin_agreement: float = 1.0
-    multimodal: bool = False
     outer_trace: tuple[BarrierStage, ...] = field(default=(), repr=False)
 
     @property
@@ -284,28 +298,37 @@ def barrier_objective(x: DesignVector, mu: float, w: WeightVector,
 def _repair_to_interior(problem: _BarrierProblem, z: list[float],
                         margin: float = 1e-3) -> list[float]:
     """Clip into the box with a range-relative margin, then pull along a
-    segment toward a feasibility anchor until the nonlinear constraints
-    hold strictly.  Deterministic; raises if no anchor is feasible."""
+    segment toward a strictly feasible anchor until the nonlinear
+    constraints hold strictly.  Deterministic.
+
+    Both constraints grow with l and eta, so the anchor puts them at
+    1 - margin, u and e at 0.5, and A at the middle of the band where
+    A*l > V and eta/A > R, clipped to [margin, 1 - margin].  If that
+    anchor is not strictly feasible, no point of the clipped box is, and
+    this raises ValueError.  Otherwise the first strictly feasible point
+    on a 1/64 grid of the segment from the clipped start is returned; the
+    anchor itself is the last point of that grid.
+    """
     z = [min(max(zi, margin), 1.0 - margin) for zi in z]
     if problem.interior(z):
         return z
 
-    # Anchors ordered by preference: low-A / long / high-eta corner favors
-    # both constraints; box center and its high-A twin cover odd boxes.
-    anchors = ([0.05, 0.95, 0.5, 0.5, 0.95],
-               [0.5, 0.5, 0.5, 0.5, 0.5],
-               [0.95, 0.95, 0.5, 0.5, 0.95])
-    for anchor in anchors:
-        if not problem.interior(anchor):
-            continue
-        for k in range(65):
-            t = k / 64
-            candidate = [(1.0 - t) * zi + t * ai for zi, ai in zip(z, anchor)]
-            if problem.interior(candidate):
-                return candidate
-        return anchor
-    raise ValueError("could not repair start point to a strictly feasible "
-                     "interior point; check bounds against constraints")
+    top = 1.0 - margin
+    _, l, _, _, eta = problem.x_of_z([top] * 5)
+    V, R = problem.cons.volume_min, problem.cons.tolerance_ratio_min
+    A_lb, r_A = problem.lb[0], problem.range[0]
+    low = max(margin, (V / l - A_lb) / r_A)
+    high = min(top, (eta / R - A_lb) / r_A) if R > 0.0 else top
+    anchor = [0.5 * (low + high), top, 0.5, 0.5, top]
+    if not problem.interior(anchor):
+        raise ValueError("could not repair start point to a strictly feasible "
+                         "interior point; check bounds against constraints")
+    for k in range(1, 64):
+        t = k / 64
+        candidate = [(1.0 - t) * zi + t * ai for zi, ai in zip(z, anchor)]
+        if problem.interior(candidate):
+            return candidate
+    return anchor
 
 
 def _dot(a: list[float], b: list[float]) -> float:
@@ -341,38 +364,38 @@ def _line_search(problem: _BarrierProblem, z: list[float], f: float,
     return None
 
 
-def _shifted_cholesky_solve(hess: list[list[float]], shift: float,
-                            g: list[float]) -> list[float] | None:
-    """Solve (hess + shift * I) p = -g by a closed-form 5x5 Cholesky
-    factorisation L L^T, reading the lower triangle of ``hess``.  Returns
-    None when a pivot is not positive (the shifted matrix is not
-    positive definite, or holds a nan)."""
+def _cholesky_solve(hess: list[list[float]],
+                    g: list[float]) -> list[float] | None:
+    """Solve hess p = -g by a closed-form 5x5 Cholesky factorisation
+    L L^T, reading the lower triangle of ``hess``.  Returns None when a
+    pivot is not positive (the matrix is not positive definite, or holds
+    a nan)."""
     (h00, *_), (h10, h11, *_), (h20, h21, h22, *_), \
         (h30, h31, h32, h33, _), (h40, h41, h42, h43, h44) = hess
-    d = h00 + shift
+    d = h00
     if not d > 0.0:
         return None
     l00 = math.sqrt(d)
     l10, l20, l30, l40 = h10 / l00, h20 / l00, h30 / l00, h40 / l00
-    d = h11 + shift - l10 * l10
+    d = h11 - l10 * l10
     if not d > 0.0:
         return None
     l11 = math.sqrt(d)
     l21 = (h21 - l20 * l10) / l11
     l31 = (h31 - l30 * l10) / l11
     l41 = (h41 - l40 * l10) / l11
-    d = h22 + shift - l20 * l20 - l21 * l21
+    d = h22 - l20 * l20 - l21 * l21
     if not d > 0.0:
         return None
     l22 = math.sqrt(d)
     l32 = (h32 - l30 * l20 - l31 * l21) / l22
     l42 = (h42 - l40 * l20 - l41 * l21) / l22
-    d = h33 + shift - l30 * l30 - l31 * l31 - l32 * l32
+    d = h33 - l30 * l30 - l31 * l31 - l32 * l32
     if not d > 0.0:
         return None
     l33 = math.sqrt(d)
     l43 = (h43 - l40 * l30 - l41 * l31 - l42 * l32) / l33
-    d = h44 + shift - l40 * l40 - l41 * l41 - l42 * l42 - l43 * l43
+    d = h44 - l40 * l40 - l41 * l41 - l42 * l42 - l43 * l43
     if not d > 0.0:
         return None
     l44 = math.sqrt(d)
@@ -394,30 +417,22 @@ def _shifted_cholesky_solve(hess: list[list[float]], shift: float,
 
 def _newton_direction(problem: _BarrierProblem, z: list[float], mu: float,
                       g: list[float]) -> list[float]:
-    """Damped-Newton direction on the exact barrier Hessian.
-
-    The direction solves (H + damping * I) p = -g by a 5x5 Cholesky
-    factorisation, first with no damping.  The nonlinear constraints are
-    not concave, so the Hessian can lose positive definiteness away from
-    their boundaries; when the factorisation fails, or p is not finite or
-    not a descent direction (g.p >= 0), Levenberg damping escalates from
-    1e-12 times the largest diagonal entry by factors of 100.
+    """Newton direction on the exact barrier Hessian, by one Cholesky
+    solve.  The Hessian is positive definite at every interior point (see
+    the module docstring), so the factorisation fails, or p is not finite
+    or not a descent direction, only on a nan or an overflow; the
+    direction is then -g.
     """
-    hess = problem.hessian(z, mu)
-    damping = 0.0
-    scale = max(abs(hess[i][i]) for i in range(5)) or 1.0
-    for _ in range(24):
-        p = _shifted_cholesky_solve(hess, damping, g)
-        if p is not None and all(map(math.isfinite, p)) and _dot(g, p) < 0.0:
-            return p
-        damping = max(damping * 100.0, 1e-12 * scale)
-    return [-gi for gi in g]  # last resort: steepest descent
+    p = _cholesky_solve(problem.hessian(z, mu), g)
+    if p is not None and all(map(math.isfinite, p)) and _dot(g, p) < 0.0:
+        return p
+    return [-gi for gi in g]
 
 
 def _newton_stage(problem: _BarrierProblem, z: list[float], mu: float,
                   tol: float, settings: SolverSettings,
                   ) -> tuple[list[float], list[float], int, bool]:
-    """Minimize the barrier objective at fixed mu by damped Newton with
+    """Minimize the barrier objective at fixed mu by Newton steps with
     Armijo backtracking.
 
     Returns the iterate, its gradient, iterations used, and whether the
@@ -521,7 +536,9 @@ def solve(w: WeightVector, coeff: ObjectiveCoefficients, bounds: DesignBounds,
 
     A non-interior x_init is repaired by clipping into the box with a
     1e-3-range margin and, if a nonlinear constraint is violated, pulling
-    along a feasibility segment toward an interior anchor.
+    along a segment toward one computed strictly feasible anchor (see
+    ``_repair_to_interior``); a ValueError means no point of the clipped
+    box is strictly feasible.
     """
     problem = _BarrierProblem(w, coeff, bounds, cons)
     z0 = problem.z_of_x(x_init.as_tuple())
@@ -534,13 +551,10 @@ def multi_start_solve(w: WeightVector, coeff: ObjectiveCoefficients,
     """Run the solver from Latin-hypercube start points and keep the best.
 
     Converged runs win over non-converged ones; ties in J (within 1e-12)
-    break toward the lowest start index for determinism.  The returned
-    result carries the fraction of converged starts that agree with the
-    winner within 1e-4 (infinity norm on x); agreement below 80% flags
-    the problem as multimodal.
+    break toward the lowest start index for determinism.  The problem is
+    convex, so converged starts agree on the optimum; the winner's own
+    result is returned.
     """
-    if settings.multistart_count < 1:
-        raise ValueError("multistart_count must be >= 1")
     problem = _BarrierProblem(w, coeff, bounds, cons)
     sampler = qmc.LatinHypercube(d=5, seed=settings.seed)
     starts = sampler.random(settings.multistart_count).tolist()
@@ -554,24 +568,4 @@ def multi_start_solve(w: WeightVector, coeff: ObjectiveCoefficients,
     for r in pool[1:]:
         if r.objective.J < best.objective.J - 1e-12:
             best = r
-
-    agreement = 1.0
-    if converged:
-        best_x = best.x_star.as_tuple()
-        same = sum(1 for r in converged
-                   if max(abs(a - b) for a, b in zip(r.x_star.as_tuple(),
-                                                     best_x)) <= 1e-4)
-        agreement = same / len(converged)
-    return SolveResult(
-        x_star=best.x_star,
-        objective=best.objective,
-        kkt_residual=best.kkt_residual,
-        constraint_values=best.constraint_values,
-        active_set=best.active_set,
-        iterations=best.iterations,
-        status=best.status,
-        start_index=best.start_index,
-        basin_agreement=agreement,
-        multimodal=agreement < 0.8,
-        outer_trace=best.outer_trace,
-    )
+    return best

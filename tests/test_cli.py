@@ -395,7 +395,7 @@ def test_solve_record_keys(tmp_path, capsys):
     record = json.loads((tmp_path / "r.json").read_text())
     assert _key_paths(record) == (
         {"scenario", "kkt_residual", "active_set", "iterations", "status",
-         "start_index", "basin_agreement", "multimodal"}
+         "start_index"}
         | _nested("weights", "pqrs") | _nested("x_star", _X_KEYS)
         | _nested("objective", {"h", "c", "d", "v", "J"})
         | _nested("constraint_values", {"volume", "tolerance_ratio"}))
@@ -486,6 +486,16 @@ def test_non_integral_solver_count_rejected(tmp_path, capsys, no_solve, key,
     cfg = write_config(tmp_path, scenario="general", solver={key: value})
     err = config_error(capsys, ["solve", cfg], f"solver.{key}")
     assert "positive" not in err
+
+
+@pytest.mark.parametrize("argv, key", [(["sweep", "--axis", "q=1:2:2"], "csv"),
+                                       (["solve"], "result")],
+                         ids=["sweep", "solve"])
+def test_missing_output_directory_rejected_before_solve(tmp_path, capsys,
+                                                        no_solve, argv, key):
+    cfg = write_config(tmp_path, scenario="general",
+                       output={key: str(tmp_path / "missing" / "out")})
+    config_error(capsys, [argv[0], cfg, *argv[1:]], f"output.{key}")
 
 
 def test_zero_budget_rejected(tmp_path, capsys, no_solve):

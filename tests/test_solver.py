@@ -1,6 +1,7 @@
 """Interior-point solver: barrier construction, convergence, oracles."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -93,6 +94,17 @@ class TestSolve:
         want = np.array(reference.x_star.as_tuple())
         assert np.max(np.abs(got - want)) < 1e-5
 
+    def test_repair_finds_the_feasible_corner_of_a_tight_box(self):
+        # only designs with large A, long l and high eta are feasible
+        cons = ConstraintSet(volume_min=1.8, tolerance_ratio_min=1.45)
+        feasible = DesignVector(A=0.64, l=2.9, u=0.5, e=0.5, eta=0.99)
+        assert min(cons.values(feasible)) > 0.0
+        start = DesignVector(A=0.3, l=1.0, u=0.5, e=0.5, eta=0.5)
+        for result in (solve(W1111, ONES, BOUNDS, cons, start),
+                       multi_start_solve(W1111, ONES, BOUNDS, cons, FAST)):
+            assert result.status is SolverStatus.Converged
+            assert min(cons.values(result.x_star)) >= -1e-9
+
     def test_iteration_cap_reports_limit(self):
         capped = SolverSettings(max_outer_iterations=1)
         result = solve(W1111, ONES, BOUNDS, CONS, DEFAULT_X_INIT, capped)
@@ -140,8 +152,11 @@ class TestMultiStart:
             result = multi_start_solve(scenario.weights, ONES, scenario.bounds,
                                        scenario.constraints, FAST)
             assert result.converged
-            assert result.basin_agreement >= 0.8
-            assert not result.multimodal
+            # convex problem: one start reaches the multi-start optimum
+            single = solve(scenario.weights, ONES, scenario.bounds,
+                           scenario.constraints, scenario.x_init)
+            J = result.objective.J
+            assert abs(single.objective.J - J) <= 1e-9 * max(1.0, abs(J))
 
     def test_deterministic_bitwise(self):
         a = multi_start_solve(W1111, ONES, BOUNDS, CONS, FAST)
@@ -176,6 +191,16 @@ class TestMultiStart:
         with pytest.raises(ValueError):
             multi_start_solve(W1111, ONES, BOUNDS, CONS,
                               SolverSettings(multistart_count=0))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, name", [
+    (cls, f.name)
+    for cls in (ObjectiveCoefficients, ConstraintSet, SolverSettings)
+    for f in fields(cls)])
+def test_non_finite_field_rejected(cls, name, value):
+    with pytest.raises(ValueError, match=name):
+        cls(**{name: value})
 
 
 class TestGridOracle:
