@@ -7,14 +7,14 @@ walks through everything the result reports: the barrier continuation
 trace, KKT diagnostics, active set, and the realized hardware parameters.
 """
 
-from dockopt import (ConstraintSet, ObjectiveCoefficients, SolverSettings,
-                     WeightVector, default_bounds, realize_design, solve)
+from dockopt import (ConstraintSet, ObjectiveCoefficients, WeightVector,
+                     default_bounds, realize_design, solve)
 from dockopt.scenarios import DEFAULT_X_INIT
 
 weights = WeightVector(p=1.0, q=1.0, r=1.0, s=1.0)
 coeff = ObjectiveCoefficients()
 result = solve(weights, coeff, default_bounds(), ConstraintSet(),
-               DEFAULT_X_INIT, SolverSettings(seed=0))
+               DEFAULT_X_INIT)
 
 # ---------------------------------------------------------------------------
 # The barrier continuation: each stage re-solves with a smaller weight mu

@@ -16,7 +16,8 @@ The keys of a section that builds a dataclass are that class's field
 names: ``problem.weights`` (WeightVector), ``problem.x_init``,
 ``problem.expected_x_star`` and ``problem.bounds.lower``/``upper``
 (DesignVector), ``problem.constraints`` (ConstraintSet), ``coefficients``
-(ObjectiveCoefficients), ``solver`` (SolverSettings) and
+(ObjectiveCoefficients), ``solver`` (SolverSettings: ``multistart_count``
+and ``seed`` only; the barrier schedule and tolerances are fixed) and
 ``simulation.geometry`` (DockGeometry).  Integer fields take integral
 values only (``3`` or ``3.0``).  Every bad value, an unknown key included,
 is a configuration error naming its path, raised before any work starts.
@@ -319,7 +320,7 @@ def cmd_solve(config_path: str, multistart: bool = False) -> int:
                                    config.settings)
     else:
         result = solve(scenario.weights, config.coefficients, scenario.bounds,
-                       scenario.constraints, scenario.x_init, config.settings)
+                       scenario.constraints, scenario.x_init)
     _print_report(scenario, result, config)
     if config.output_result:
         record = _result_record(result, scenario.weights)

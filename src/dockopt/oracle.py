@@ -16,6 +16,7 @@ control-fidelity effects are outside its success condition.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,11 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, least in (("samples", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, "
+                                 f"got {value}")
         if not (math.isfinite(self.sigma_c) and self.sigma_c > 0.0):
             raise ValueError("sigma_c must be positive and finite")
 
@@ -52,8 +54,10 @@ class SimulationReport:
 def rayleigh_success_probability(clearance: float, sigma_c: float) -> float:
     """Closed-form docking success probability for the 2-D Gaussian error
     model: the Rayleigh CDF evaluated at the clearance."""
-    if sigma_c <= 0.0:
-        raise ValueError("sigma_c must be positive")
+    if not (math.isfinite(sigma_c) and sigma_c > 0.0):
+        raise ValueError(f"sigma_c must be positive and finite, got {sigma_c}")
+    if not math.isfinite(clearance):
+        raise ValueError(f"clearance must be finite, got {clearance}")
     if clearance < 0.0:
         return 0.0
     return 1.0 - math.exp(-clearance**2 / (2.0 * sigma_c**2))

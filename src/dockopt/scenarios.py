@@ -92,16 +92,19 @@ def scenario_by_name(name: str) -> Scenario:
 def reference_coefficients() -> ObjectiveCoefficients:
     """Coefficients fitted to the general design intent's target optimum.
 
-    Frozen output of ``calibrate`` on the general scenario (budget 200,
-    seed 0, multistart 8, starting from all-ones); shipped so downstream
-    studies can reproduce the reference optima without re-fitting.
+    Frozen output of ``calibrate`` on the general scenario from all-ones
+    coefficients; shipped so downstream studies can reproduce the
+    reference optima without re-fitting.  The recipe that regenerates
+    them bit for bit (2,500 evaluations) is::
+
+        calibrate(scenario_by_name("general"), ObjectiveCoefficients(),
+                  budget=2500,
+                  settings=SolverSettings(multistart_count=4, seed=0))
     """
     return ObjectiveCoefficients(**_REFERENCE_COEFFICIENTS)
 
 
-# Frozen output of the calibration recipe documented above; regenerate with
-#   calibrate(scenario_by_name("general"), ObjectiveCoefficients(),
-#             budget=2500, settings=SolverSettings(multistart_count=4, seed=0))
+# Regenerate with the recipe in the reference_coefficients docstring.
 _REFERENCE_COEFFICIENTS: dict[str, float] = {
     "kl": 0.0009119206473071695,
     "ke": 8.538577351421722,

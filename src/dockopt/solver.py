@@ -12,14 +12,21 @@ barrier objective
 
     B(z, mu) = J(x(z)) - mu * sum(log(scaled slacks))
 
-is minimized by Newton steps on the exact (closed-form, 5x5) barrier
-Hessian with Armijo backtracking, shrinking any step that would leave the
-strict interior.  Slack arguments are scaled by the variable ranges
-(bounds) or by the constraint thresholds, so mu acts uniformly across
-heterogeneous units.  First-order optimality is measured with primal
-multiplier estimates lambda_i = mu / slack_i; the reported KKT residual
-is max(stationarity, mu), mu being the complementarity gap the barrier
-leaves against the original problem.
+is minimized by Newton steps on the exact barrier Hessian with Armijo
+backtracking (sufficient-decrease constant 1e-4, step halved on each
+rejection), shrinking any step that would leave the strict interior.
+Slack arguments are scaled by the variable ranges (bounds) or by the
+constraint thresholds, so mu acts uniformly across heterogeneous units.
+Each constraint's log slack is taken as log(g) - log(threshold), which
+stays finite for any positive threshold.
+
+The continuation runs the fixed schedule mu = 10^-k, k = 0..11.  A stage
+stops at a gradient of max(3e-9, mu/10) or after 200 Newton steps.
+First-order optimality is measured with primal multiplier estimates
+lambda_i = mu / slack_i; the reported KKT residual is
+max(stationarity, mu), mu being the complementarity gap the barrier
+leaves against the original problem, and a solve is Converged when the
+best stage's residual is at most 1e-8.
 
 The barrier is strictly convex on the interior for mu > 0 (Boyd &
 Vandenberghe, Convex Optimization, sections 3.1 and 11.2):
@@ -34,24 +41,34 @@ Vandenberghe, Convex Optimization, sections 3.1 and 11.2):
   log A is dominated by the A-lower box term's 1/(A - A_lo)^2, because
   DesignVector makes A_lo > 0.
 
-So the Hessian is positive definite and one Cholesky solve gives a
-descent direction; it fails only on a nan or an overflow.  Every start
-that converges reaches the same optimum.  Multi-start draws
-Latin-hypercube start points over the box (deterministic in the seed),
-repairs them to the interior and returns the best run.
+So the Hessian is positive definite.  It is also an arrowhead: besides
+the diagonal, only the (A, l) entry (from g1) and the (A, eta) entry (from
+g2) are nonzero.  The Newton system is solved by block elimination (Boyd &
+Vandenberghe, appendix C.4): u and e on their own, then l and eta
+eliminated onto A through the Schur complement
+
+    s = d_A - h_Al^2 / d_l - h_Aeta^2 / d_eta,
+
+which is Cholesky on the reordered matrix and so fails only on a nan or an
+overflow; the direction is then -g.  Every start that converges reaches
+the same optimum.  Multi-start draws Latin-hypercube start points over
+the box (deterministic in the seed), repairs them to the interior and
+returns the best run.
 
 The solve loop works on plain Python floats: points, gradients and
-directions are lists of 5 floats and the Hessian is a 5x5 list of lists,
-evaluated with ``math.log``/``math.log1p``.  On vectors this short, numpy's
-per-call overhead costs far more than the arithmetic.  The cost and its
-gradient still come from ``dockopt.objective`` (``total_cost_arrays`` and
-``gradient_at``, called on floats), so the formulas live in one module.
+directions are lists of 5 floats and the Hessian is its 5 diagonal
+entries plus the two couplings, evaluated with ``math.log``/``math.log1p``.
+On vectors this short, numpy's per-call overhead costs far more than the
+arithmetic.  The cost and its gradient still come from
+``dockopt.objective`` (``total_cost_arrays`` and ``gradient_at``, called on
+floats), so the formulas live in one module.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 from scipy.stats import qmc
@@ -63,6 +80,17 @@ from .objective import (ObjectiveCoefficients, ObjectiveValues, gradient_at,
 _VAR_NAMES = tuple(f.name for f in fields(DesignVector))
 _MIN_STEP = 1e-16
 _ACTIVE_SLACK = 1e-6
+# Barrier weights of the continuation, mu = 10^-k for k = 0..11, as
+# repeated multiplication by 0.1 rounds them, restarted at exactly 1e-8 (the
+# KKT tolerance), so the stage that can meet the tolerance has mu <= 1e-8.
+_MU_SCHEDULE = (1.0, 0.1, 0.010000000000000002, 0.0010000000000000002,
+                0.00010000000000000003, 1.0000000000000004e-05,
+                1.0000000000000004e-06, 1.0000000000000005e-07, 1e-08, 1e-09,
+                1.0000000000000002e-10, 1.0000000000000003e-11)
+_KKT_TOLERANCE = 1e-8
+_MAX_INNER_ITERATIONS = 200
+_ARMIJO_C = 1e-4
+_BACKTRACK_FACTOR = 0.5
 
 
 @dataclass(frozen=True)
@@ -88,29 +116,19 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    barrier_initial: float = 1.0
-    barrier_shrink: float = 0.1
-    barrier_floor: float = 1e-10
-    kkt_tolerance: float = 1e-8
-    max_outer_iterations: int = 50
-    max_inner_iterations: int = 200
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
+    """Multi-start controls: the number of Latin-hypercube starts and
+    their seed."""
+
     multistart_count: int = 16
     seed: int = 0
 
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            least = ">= 0" if f.name == "seed" else "positive"
-            if not (math.isfinite(value)
-                    and (value >= 0 if f.name == "seed" else value > 0)):
-                raise ValueError(f"solver setting {f.name} must be finite "
-                                 f"and {least}, got {value}")
-        if self.barrier_shrink >= 1.0:
-            raise ValueError("barrier_shrink must be in (0, 1)")
-        if self.backtrack_factor >= 1.0:
-            raise ValueError("backtrack_factor must be in (0, 1)")
+            least = 0 if f.name == "seed" else 1
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"solver setting {f.name} must be an "
+                                 f"integer >= {least}, got {value}")
 
 
 class SolverStatus(enum.Enum):
@@ -163,6 +181,7 @@ class _BarrierProblem:
                                                      bounds.upper.as_tuple()))
         self.g1_scale = cons.volume_min if cons.volume_min > 0.0 else 1.0
         self.g2_scale = cons.tolerance_ratio_min if cons.tolerance_ratio_min > 0.0 else 1.0
+        self.log_scales = math.log(self.g1_scale) + math.log(self.g2_scale)
         self.cost_hess_diag = self._cost_hessian_diag()
 
     def x_of_z(self, z: list[float]) -> list[float]:
@@ -193,17 +212,6 @@ class _BarrierProblem:
         return [*z, *(1.0 - zi for zi in z),
                 g1 / self.g1_scale, g2 / self.g2_scale]
 
-    def value(self, z: list[float], mu: float) -> float:
-        slacks = self.scaled_slacks(z)
-        low = slacks.index(min(slacks))
-        if not slacks[low] > 0.0:
-            raise ValueError(f"point is not strictly interior: slack on "
-                             f"{_slack_names()[low]} is non-positive")
-        base = self.cost(z)
-        if mu == 0.0:
-            return base
-        return base - mu * math.fsum(math.log(s) for s in slacks)
-
     def value_grad(self, z: list[float], mu: float,
                    ) -> tuple[float, list[float]]:
         A, l, u, e, eta = x = self.x_of_z(z)
@@ -220,8 +228,8 @@ class _BarrierProblem:
             + math.log(z3) + math.log(z4)
         log_1mz = math.log1p(-z0) + math.log1p(-z1) + math.log1p(-z2) \
             + math.log1p(-z3) + math.log1p(-z4)
-        value = cost - mu * (log_z + log_1mz + math.log(g1 / self.g1_scale)
-                             + math.log(g2 / self.g2_scale))
+        value = cost - mu * (log_z + log_1mz + math.log(g1) + math.log(g2)
+                             - self.log_scales)
         grad = [gi - mu / zi + mu / (1.0 - zi) for gi, zi in zip(grad, z)]
         c1 = mu / g1
         grad[0] -= c1 * (l * r0)
@@ -244,35 +252,31 @@ class _BarrierProblem:
         )
         return tuple(qi * (r * r) for qi, r in zip(quad, self.range))
 
-    def hessian(self, z: list[float], mu: float) -> list[list[float]]:
-        """Exact barrier Hessian in z coordinates (5x5, closed form).
-
-        Only the diagonal and the (A, l) and (A, eta) couplings are
-        nonzero: g1 ties A to l, g2 ties A to eta."""
+    def hessian(self, z: list[float], mu: float,
+                ) -> tuple[list[float], float, float]:
+        """Exact barrier Hessian in z coordinates as an arrowhead: the 5
+        diagonal entries, then the (A, l) and (A, eta) entries, the only
+        nonzero ones off the diagonal (g1 ties A to l, g2 ties A to eta)."""
         A, l, _, _, eta = x = self.x_of_z(z)
         g1, g2 = self.constraints(x)
         r0, r1, _, _, r4 = self.range
-        hess = [[0.0] * 5 for _ in range(5)]
-        for i, (ci, zi) in enumerate(zip(self.cost_hess_diag, z)):
-            hess[i][i] = ci + mu * (1.0 / (zi * zi)
-                                    + 1.0 / ((1.0 - zi) * (1.0 - zi)))
+        diag = [ci + mu * (1.0 / (zi * zi) + 1.0 / ((1.0 - zi) * (1.0 - zi)))
+                for ci, zi in zip(self.cost_hess_diag, z)]
         # g1 = A*l - V: outer product of its gradient, then d2(A*l)/dAdl = 1.
         u0, u1 = l * r0, A * r1
         c1 = mu / g1**2
-        hess[0][0] += c1 * (u0 * u0)
-        hess[1][1] += c1 * (u1 * u1)
+        diag[0] += c1 * (u0 * u0)
+        diag[1] += c1 * (u1 * u1)
         h01 = c1 * (u0 * u1) - mu / g1 * r0 * r1
         # g2 = eta/A - R: outer product of its gradient, then its curvature.
         v0, v4 = -eta / A**2 * r0, 1.0 / A * r4
         c2 = mu / g2**2
-        hess[0][0] += c2 * (v0 * v0)
-        hess[4][4] += c2 * (v4 * v4)
+        diag[0] += c2 * (v0 * v0)
+        diag[4] += c2 * (v4 * v4)
         h04 = c2 * (v0 * v4)
-        hess[0][0] -= mu / g2 * 2.0 * eta / A**3 * r0**2
+        diag[0] -= mu / g2 * 2.0 * eta / A**3 * r0**2
         h04 -= mu / g2 * (-1.0 / A**2) * r0 * r4
-        hess[0][1] = hess[1][0] = h01
-        hess[0][4] = hess[4][0] = h04
-        return hess
+        return diag, h01, h04
 
 
 def _slack_names() -> tuple[str, ...]:
@@ -292,7 +296,13 @@ def barrier_objective(x: DesignVector, mu: float, w: WeightVector,
     if mu < 0.0:
         raise ValueError("mu must be >= 0")
     problem = _BarrierProblem(w, coeff, bounds, cons)
-    return problem.value(problem.z_of_x(x.as_tuple()), mu)
+    z = problem.z_of_x(x.as_tuple())
+    slacks = problem.scaled_slacks(z)
+    low = slacks.index(min(slacks))
+    if not slacks[low] > 0.0:
+        raise ValueError(f"point is not strictly interior: slack on "
+                         f"{_slack_names()[low]} is non-positive")
+    return problem.value_grad(z, mu)[0]
 
 
 def _repair_to_interior(problem: _BarrierProblem, z: list[float],
@@ -337,7 +347,7 @@ def _dot(a: list[float], b: list[float]) -> float:
 
 def _line_search(problem: _BarrierProblem, z: list[float], f: float,
                  g: list[float], p: list[float], mu: float,
-                 settings: SolverSettings, boundary_fraction: float,
+                 boundary_fraction: float,
                  ) -> tuple[list[float], float, list[float], float] | None:
     """Armijo backtracking, starting from the largest box-respecting step;
     trial points outside the strict interior shrink the step further."""
@@ -358,80 +368,46 @@ def _line_search(problem: _BarrierProblem, z: list[float], f: float,
         z_trial = [zi + alpha * pi for zi, pi in zip(z, p)]
         if problem.interior(z_trial):
             f_trial, g_trial = problem.value_grad(z_trial, mu)
-            if f_trial <= f + settings.armijo_c * alpha * gp:
+            if f_trial <= f + _ARMIJO_C * alpha * gp:
                 return z_trial, f_trial, g_trial, alpha
-        alpha *= settings.backtrack_factor
+        alpha *= _BACKTRACK_FACTOR
     return None
 
 
-def _cholesky_solve(hess: list[list[float]],
-                    g: list[float]) -> list[float] | None:
-    """Solve hess p = -g by a closed-form 5x5 Cholesky factorisation
-    L L^T, reading the lower triangle of ``hess``.  Returns None when a
-    pivot is not positive (the matrix is not positive definite, or holds
-    a nan)."""
-    (h00, *_), (h10, h11, *_), (h20, h21, h22, *_), \
-        (h30, h31, h32, h33, _), (h40, h41, h42, h43, h44) = hess
-    d = h00
-    if not d > 0.0:
+def _arrowhead_solve(hess: tuple[list[float], float, float],
+                     g: list[float]) -> list[float] | None:
+    """Solve hess p = -g for the arrowhead ``(diag, h_Al, h_Aeta)``: u and
+    e on their own, l and eta eliminated onto A through the Schur
+    complement s.  Returns None when a pivot is not positive (the matrix
+    is not positive definite, or holds a nan)."""
+    (dA, dl, du, de, deta), hAl, hAeta = hess
+    if not (dl > 0.0 and du > 0.0 and de > 0.0 and deta > 0.0):
         return None
-    l00 = math.sqrt(d)
-    l10, l20, l30, l40 = h10 / l00, h20 / l00, h30 / l00, h40 / l00
-    d = h11 - l10 * l10
-    if not d > 0.0:
+    s = dA - hAl * hAl / dl - hAeta * hAeta / deta
+    if not s > 0.0:
         return None
-    l11 = math.sqrt(d)
-    l21 = (h21 - l20 * l10) / l11
-    l31 = (h31 - l30 * l10) / l11
-    l41 = (h41 - l40 * l10) / l11
-    d = h22 - l20 * l20 - l21 * l21
-    if not d > 0.0:
-        return None
-    l22 = math.sqrt(d)
-    l32 = (h32 - l30 * l20 - l31 * l21) / l22
-    l42 = (h42 - l40 * l20 - l41 * l21) / l22
-    d = h33 - l30 * l30 - l31 * l31 - l32 * l32
-    if not d > 0.0:
-        return None
-    l33 = math.sqrt(d)
-    l43 = (h43 - l40 * l30 - l41 * l31 - l42 * l32) / l33
-    d = h44 - l40 * l40 - l41 * l41 - l42 * l42 - l43 * l43
-    if not d > 0.0:
-        return None
-    l44 = math.sqrt(d)
-
-    # Forward substitution L y = -g, then back substitution L^T p = y.
-    g0, g1, g2, g3, g4 = g
-    y0 = -g0 / l00
-    y1 = (-g1 - l10 * y0) / l11
-    y2 = (-g2 - l20 * y0 - l21 * y1) / l22
-    y3 = (-g3 - l30 * y0 - l31 * y1 - l32 * y2) / l33
-    y4 = (-g4 - l40 * y0 - l41 * y1 - l42 * y2 - l43 * y3) / l44
-    p4 = y4 / l44
-    p3 = (y3 - l43 * p4) / l33
-    p2 = (y2 - l32 * p3 - l42 * p4) / l22
-    p1 = (y1 - l21 * p2 - l31 * p3 - l41 * p4) / l11
-    p0 = (y0 - l10 * p1 - l20 * p2 - l30 * p3 - l40 * p4) / l00
-    return [p0, p1, p2, p3, p4]
+    gA, gl, gu, ge, geta = g
+    pA = -(gA - hAl * gl / dl - hAeta * geta / deta) / s
+    return [pA, -(gl + hAl * pA) / dl, -gu / du, -ge / de,
+            -(geta + hAeta * pA) / deta]
 
 
 def _newton_direction(problem: _BarrierProblem, z: list[float], mu: float,
                       g: list[float]) -> list[float]:
-    """Newton direction on the exact barrier Hessian, by one Cholesky
+    """Newton direction on the exact barrier Hessian, by one arrowhead
     solve.  The Hessian is positive definite at every interior point (see
-    the module docstring), so the factorisation fails, or p is not finite
+    the module docstring), so the elimination fails, or p is not finite
     or not a descent direction, only on a nan or an overflow; the
     direction is then -g.
     """
-    p = _cholesky_solve(problem.hessian(z, mu), g)
+    p = _arrowhead_solve(problem.hessian(z, mu), g)
     if p is not None and all(map(math.isfinite, p)) and _dot(g, p) < 0.0:
         return p
     return [-gi for gi in g]
 
 
 def _newton_stage(problem: _BarrierProblem, z: list[float], mu: float,
-                  tol: float, settings: SolverSettings,
-                  ) -> tuple[list[float], list[float], int, bool]:
+                  tol: float) -> tuple[list[float], list[float], int, bool]:
     """Minimize the barrier objective at fixed mu by Newton steps with
     Armijo backtracking.
 
@@ -444,11 +420,9 @@ def _newton_stage(problem: _BarrierProblem, z: list[float], mu: float,
     stalled = False
     iterations = 0
 
-    while max(map(abs, g)) > tol \
-            and iterations < settings.max_inner_iterations:
+    while max(map(abs, g)) > tol and iterations < _MAX_INNER_ITERATIONS:
         p = _newton_direction(problem, z, mu, g)
-        step = _line_search(problem, z, f, g, p, mu, settings,
-                            boundary_fraction=0.995)
+        step = _line_search(problem, z, f, g, p, mu, boundary_fraction=0.995)
         if step is None:
             stalled = True
             break
@@ -463,21 +437,18 @@ def _newton_stage(problem: _BarrierProblem, z: list[float], mu: float,
 
 
 def _solve_from_z(problem: _BarrierProblem, z0: list[float],
-                  settings: SolverSettings, start_index: int) -> SolveResult:
+                  start_index: int) -> SolveResult:
     z = _repair_to_interior(problem, z0)
-    mu = settings.barrier_initial
     trace: list[BarrierStage] = []
     total_inner = 0
     stalled_last = False
     best_residual = math.inf
     best_z = z
-    best_mu = mu
 
     exited_by_stall = False
-    for _ in range(settings.max_outer_iterations):
-        inner_tol = max(0.3 * settings.kkt_tolerance, 0.1 * mu)
-        z, g, inner, stalled_last = _newton_stage(problem, z, mu, inner_tol,
-                                                  settings)
+    for mu in _MU_SCHEDULE:
+        inner_tol = max(0.3 * _KKT_TOLERANCE, 0.1 * mu)
+        z, g, inner, stalled_last = _newton_stage(problem, z, mu, inner_tol)
         total_inner += inner
         stationarity = max(map(abs, g))
         # Primal multiplier estimates give lambda_i * slack_i = mu exactly,
@@ -487,24 +458,17 @@ def _solve_from_z(problem: _BarrierProblem, z0: list[float],
                                   stationarity=stationarity,
                                   inner_iterations=inner))
         if residual < best_residual:
-            best_residual, best_z, best_mu = residual, z, mu
+            best_residual, best_z = residual, z
         if stalled_last and residual > best_residual:
             # Position-quantized slack: smaller mu only raises the
             # stationarity floor, so stop the continuation here.
             exited_by_stall = True
             break
-        if best_residual <= settings.kkt_tolerance \
+        if best_residual <= _KKT_TOLERANCE \
                 and residual > 10.0 * best_residual:
             break  # refinement exhausted; keep the best stage
-        if mu <= settings.barrier_floor:
-            break
-        mu *= settings.barrier_shrink
-        # Snap accumulated float dust so the default schedule lands exactly
-        # on the tolerance instead of a few ulps above it.
-        if abs(mu - settings.kkt_tolerance) <= 1e-6 * settings.kkt_tolerance:
-            mu = settings.kkt_tolerance
 
-    if best_residual <= settings.kkt_tolerance:
+    if best_residual <= _KKT_TOLERANCE:
         status = SolverStatus.Converged
     elif exited_by_stall or stalled_last:
         status = SolverStatus.LineSearchFailure
@@ -530,8 +494,7 @@ def _solve_from_z(problem: _BarrierProblem, z0: list[float],
 
 
 def solve(w: WeightVector, coeff: ObjectiveCoefficients, bounds: DesignBounds,
-          cons: ConstraintSet, x_init: DesignVector,
-          settings: SolverSettings = SolverSettings()) -> SolveResult:
+          cons: ConstraintSet, x_init: DesignVector) -> SolveResult:
     """Barrier continuation from a single start point.
 
     A non-interior x_init is repaired by clipping into the box with a
@@ -542,7 +505,7 @@ def solve(w: WeightVector, coeff: ObjectiveCoefficients, bounds: DesignBounds,
     """
     problem = _BarrierProblem(w, coeff, bounds, cons)
     z0 = problem.z_of_x(x_init.as_tuple())
-    return _solve_from_z(problem, z0, settings, start_index=0)
+    return _solve_from_z(problem, z0, start_index=0)
 
 
 def multi_start_solve(w: WeightVector, coeff: ObjectiveCoefficients,
@@ -559,7 +522,7 @@ def multi_start_solve(w: WeightVector, coeff: ObjectiveCoefficients,
     sampler = qmc.LatinHypercube(d=5, seed=settings.seed)
     starts = sampler.random(settings.multistart_count).tolist()
 
-    results = [_solve_from_z(problem, starts[i], settings, start_index=i)
+    results = [_solve_from_z(problem, starts[i], start_index=i)
                for i in range(settings.multistart_count)]
 
     converged = [r for r in results if r.converged]

@@ -117,8 +117,8 @@ class ReferenceBarrier:
         if mu == 0.0:
             return cost, grad
         value = cost - mu * (float(np.sum(np.log(z))) + float(np.sum(np.log1p(-z)))
-                             + math.log(g1 / self.g1_scale)
-                             + math.log(g2 / self.g2_scale))
+                             + math.log(g1) - math.log(self.g1_scale)
+                             + math.log(g2) - math.log(self.g2_scale))
         grad = grad - mu / z + mu / (1.0 - z)
         grad -= mu / g1 * self._g1_grad_z(x)
         grad -= mu / g2 * self._g2_grad_z(x)

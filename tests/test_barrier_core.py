@@ -1,7 +1,7 @@
-"""The solver's plain-float barrier core: value, gradient and Hessian
-against the numpy reference, the Hessian against central differences, the
-Cholesky direction's backward error, the steepest-descent fallback and
-the repair to a strictly feasible start."""
+"""The solver's plain-float barrier core: value, gradient and arrowhead
+Hessian against the numpy reference, the Hessian against central
+differences, the arrowhead Newton solve's backward error, the
+steepest-descent fallback and the repair to a strictly feasible start."""
 
 import math
 
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from dockopt import (ConstraintSet, DesignBounds, DesignVector,
                      ObjectiveCoefficients, WeightVector, default_bounds)
-from dockopt.solver import (_BarrierProblem, _cholesky_solve,
+from dockopt.solver import (_arrowhead_solve, _BarrierProblem,
                             _newton_direction, _repair_to_interior)
 from helpers import ReferenceBarrier
 
@@ -62,6 +62,19 @@ def instances(draw, points=points):
     return bounds, ConstraintSet(a * A * l, b * eta / A), z
 
 
+def _dense(hess):
+    """The 5x5 matrix of an arrowhead ``(diag, h_Al, h_Aeta)``."""
+    diag, h01, h04 = hess
+    H = np.diag(diag)
+    H[0, 1] = H[1, 0] = h01
+    H[0, 4] = H[4, 0] = h04
+    return H
+
+
+ARROWHEAD = np.eye(5, dtype=bool)
+ARROWHEAD[0, 1] = ARROWHEAD[1, 0] = ARROWHEAD[0, 4] = ARROWHEAD[4, 0] = True
+
+
 def _axis_distances(problem, z):
     """Distance in z from z to the nearest face of the feasible set along
     each coordinate axis (box faces, g1 = 0 and g2 = 0)."""
@@ -88,20 +101,24 @@ def test_barrier_core_matches_numpy_reference(w, coeff, instance, mu):
     value, grad = problem.value_grad(z, mu)
     ref_value, ref_grad = reference.value_grad(np.array(z), mu)
     # math.log may differ from numpy's vectorised log by one ulp, so the
-    # value is compared relative to the size of the terms it sums.  A
-    # threshold far below its slack overflows the scaled slack, and both
-    # values are then -inf.
-    terms = abs(problem.cost(z))
-    if mu > 0.0:
-        terms += mu * sum(abs(math.log(s)) for s in problem.scaled_slacks(z))
-    assert value == ref_value or abs(value - ref_value) <= 1e-12 * terms
+    # value is compared relative to the size of the terms it sums.  Each
+    # constraint enters as log(g) - log(threshold), which stays finite
+    # for a threshold far below its slack.
+    g1, g2 = problem.constraints(problem.x_of_z(z))
+    logs = [*(math.log(zi) for zi in z), *(math.log1p(-zi) for zi in z),
+            math.log(g1), math.log(problem.g1_scale),
+            math.log(g2), math.log(problem.g2_scale)]
+    terms = abs(problem.cost(z)) + mu * sum(map(abs, logs))
+    assert math.isfinite(value)
+    assert abs(value - ref_value) <= 1e-12 * terms
     assert np.max(np.abs(np.array(grad) - ref_grad)) \
         <= 1e-12 * np.max(np.abs(ref_grad))
 
-    hess = np.array(problem.hessian(z, mu))
+    # the arrowhead holds every nonzero entry of the reference Hessian
+    hess = _dense(problem.hessian(z, mu))
     ref_hess = reference.hessian(np.array(z), mu)
     assert np.max(np.abs(hess - ref_hess)) <= 1e-12 * np.max(np.abs(ref_hess))
-    assert np.array_equal(hess, hess.T)
+    assert not np.any(ref_hess[~ARROWHEAD])
 
 
 @settings(max_examples=150, deadline=None)
@@ -111,7 +128,7 @@ def test_hessian_matches_central_differences_of_gradient(w, coeff, instance,
     bounds, cons, z = instance
     problem = _BarrierProblem(w, coeff, bounds, cons)
     assume(problem.interior(z))
-    hess = np.array(problem.hessian(z, mu))
+    hess = _dense(problem.hessian(z, mu))
     distances = _axis_distances(problem, z)
     # every barrier gradient term is mu over a distance to a face, so this
     # bounds the size of the gradient's terms and hence their rounding
@@ -136,29 +153,32 @@ def test_cholesky_direction_is_backward_stable(w, coeff, instance, mu):
     problem = _BarrierProblem(w, coeff, bounds, cons)
     assume(problem.interior(z))
     _, grad = problem.value_grad(z, mu)
-    hess = problem.hessian(z, mu)
-    p = _cholesky_solve(hess, grad)
+    p = _arrowhead_solve(problem.hessian(z, mu), grad)
     # the barrier Hessian is positive definite for mu > 0 (see solver.py)
     assert p is not None or mu == 0.0
     assume(p is not None)
-    H, g, p = np.array(hess), np.array(grad), np.array(p)
+    # the residual is measured on the reference's dense Hessian
+    H = ReferenceBarrier(w, coeff, bounds, cons).hessian(np.array(z), mu)
+    g, p = np.array(grad), np.array(p)
     h_norm = np.max(np.sum(np.abs(H), axis=1))
     residual = np.max(np.abs(H @ p + g))
     assert residual <= 1e-12 * (h_norm * np.max(np.abs(p)) + np.max(np.abs(g)))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.floats(-10.0, 10.0), min_size=25, max_size=25),
-       st.floats(-6.0, 2.0), st.lists(st.floats(-1e3, 1e3), min_size=5,
-                                      max_size=5))
-def test_cholesky_solve_is_backward_stable_on_dense_matrices(entries, k, g):
-    # barrier Hessians couple only (A, l) and (A, eta), which leaves most
-    # of the factor zero; dense positive definite matrices exercise all of it
-    M = np.array(entries).reshape(5, 5)
-    H = M @ M.T + 10.0**k * np.eye(5)
-    p = _cholesky_solve(H.tolist(), g)
-    assume(p is not None)  # rounding can leave a nearly singular H indefinite
-    p, g = np.array(p), np.array(g)
+@given(st.lists(st.floats(-6.0, 6.0), min_size=5, max_size=5),
+       st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+       st.lists(st.floats(-1e3, 1e3), min_size=5, max_size=5))
+def test_cholesky_solve_is_backward_stable_on_dense_matrices(k, h01, h04, g):
+    # arrowheads drawn apart from the barrier: the four eliminated pivots
+    # and the Schur complement span 1e-6..1e6, and the residual is taken
+    # on the dense 5x5 matrix
+    s, dl, du, de, deta = (10.0**ki for ki in k)
+    dA = s + h01 * h01 / dl + h04 * h04 / deta
+    hess = ([dA, dl, du, de, deta], h01, h04)
+    p = _arrowhead_solve(hess, g)
+    assume(p is not None)  # rounding can leave a tiny Schur complement <= 0
+    H, p, g = _dense(hess), np.array(p), np.array(g)
     h_norm = np.max(np.sum(np.abs(H), axis=1))
     residual = np.max(np.abs(H @ p + g))
     assert residual <= 1e-12 * (h_norm * np.max(np.abs(p)) + np.max(np.abs(g)))
@@ -171,23 +191,21 @@ class _FixedHessian:
         self.hess = hess
 
     def hessian(self, z, mu):
-        return [list(row) for row in self.hess]
+        diag, h01, h04 = self.hess
+        return list(diag), h01, h04
 
 
-INDEFINITE = [[2.0, 0.5, 0.0, 0.0, 0.3],
-              [0.5, -3.0, 0.0, 0.0, 0.0],
-              [0.0, 0.0, 1.0, 0.0, 0.0],
-              [0.0, 0.0, 0.0, 4.0, 0.0],
-              [0.3, 0.0, 0.0, 0.0, 1.5]]
+# (diagonal, (A, l) entry, (A, eta) entry)
+INDEFINITE = ([2.0, -3.0, 1.0, 4.0, 1.5], 0.5, 0.3)
 GRADIENT = [1.0, -0.5, 0.25, 2.0, -1.0]
-NAN_HESSIAN = [list(row) for row in INDEFINITE]
-NAN_HESSIAN[2][2] = math.nan
+NAN_HESSIAN = ([2.0, 3.0, math.nan, 4.0, 1.5], 0.5, 0.3)
+ZERO_ETA_PIVOT = ([2.0, 3.0, 1.0, 4.0, 0.0], 0.5, 0.3)
 
 
-@pytest.mark.parametrize("hess", [INDEFINITE, NAN_HESSIAN],
-                         ids=["indefinite", "nan"])
+@pytest.mark.parametrize("hess", [INDEFINITE, NAN_HESSIAN, ZERO_ETA_PIVOT],
+                         ids=["indefinite", "nan", "zero-eta-pivot"])
 def test_steepest_descent_when_cholesky_fails(hess):
-    assert _cholesky_solve(hess, GRADIENT) is None
+    assert _arrowhead_solve(hess, GRADIENT) is None
     p = _newton_direction(_FixedHessian(hess), [0.5] * 5, 1.0, GRADIENT)
     assert p == [-gi for gi in GRADIENT]
 

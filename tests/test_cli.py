@@ -50,17 +50,20 @@ class TestSolveCommand:
         assert "problem.weights" in err and "q" in err
 
     def test_unknown_key_rejected_with_path(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, scenario="general",
-                           solver={"bogus_knob": 3})
-        assert main(["solve", cfg]) == 1
-        assert "solver.bogus_knob" in capsys.readouterr().err
+        # the barrier tolerance is fixed, so a config that sets it fails
+        for key in ("bogus_knob", "kkt_tolerance"):
+            cfg = write_config(tmp_path, scenario="general",
+                               solver={key: 3})
+            assert main(["solve", cfg]) == 1
+            assert f"solver.{key}" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.yaml")]) == 1
 
-    def test_non_converged_settings_exit_two(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, scenario="general",
-                           solver={"max_outer_iterations": 1, "seed": 0})
+    def test_non_converged_settings_exit_two(self, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.setattr("dockopt.solver._MU_SCHEDULE", (1.0,))
+        cfg = write_config(tmp_path, scenario="general", solver={"seed": 0})
         code = main(["solve", cfg])
         out = capsys.readouterr().out
         assert code == 2
@@ -364,9 +367,9 @@ def test_non_finite_number_rejected(tmp_path, path, cls, built, name):
 
 def test_integral_float_accepted_for_integer_field(tmp_path):
     config = _load(tmp_path, {"scenario": "general",
-                              "solver": {"max_outer_iterations": 3.0}})
-    assert config.settings.max_outer_iterations == 3
-    assert isinstance(config.settings.max_outer_iterations, int)
+                              "solver": {"multistart_count": 3.0}})
+    assert config.settings.multistart_count == 3
+    assert isinstance(config.settings.multistart_count, int)
 
 
 # --- JSON record contracts ---------------------------------------------------
@@ -478,7 +481,10 @@ def test_negative_env_seed_rejected(tmp_path, capsys, no_solve, monkeypatch):
     config_error(capsys, ["solve", cfg, "--multistart"], "DOCKOPT_SEED")
 
 
+# max_outer_iterations is no longer a setting (the barrier schedule is
+# fixed), so a config written for it fails at load and names its path
 @pytest.mark.parametrize("key, value", [("max_outer_iterations", 2.9),
+                                        ("multistart_count", 2.9),
                                         ("multistart_count", 0.5),
                                         ("seed", 1e-3)])
 def test_non_integral_solver_count_rejected(tmp_path, capsys, no_solve, key,

@@ -31,6 +31,12 @@ class TestClosedForm:
     def test_zero_clearance(self):
         assert rayleigh_success_probability(0.0, 0.1) == 0.0
 
+    @pytest.mark.parametrize("clearance, sigma_c", [
+        (0.1, math.nan), (math.nan, 0.1), (0.1, math.inf), (math.inf, 0.1)])
+    def test_non_finite_input_rejected(self, clearance, sigma_c):
+        with pytest.raises(ValueError):
+            rayleigh_success_probability(clearance, sigma_c)
+
 
 class TestSimulateDocking:
     def test_matches_rayleigh_at_one_sigma(self):
@@ -85,6 +91,13 @@ class TestSimulateDocking:
             config(clearance=0.1, samples=0)
         with pytest.raises(ValueError):
             config(clearance=0.1, sigma_c=0.0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("samples", math.inf), ("samples", 2.5), ("seed", 1.5)])
+    def test_non_integral_count_rejected(self, key, value):
+        # an infinite sample count would keep simulate_docking sampling forever
+        with pytest.raises(ValueError, match=key):
+            config(clearance=0.1, **{key: value})
 
 
 class TestReliabilityCorrelation:

@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import dockopt.solver
 from dockopt import (ConstraintSet, DesignVector, ObjectiveCoefficients,
                      SolverSettings, SolverStatus, WeightVector,
                      barrier_objective, default_bounds, multi_start_solve,
@@ -51,6 +52,18 @@ class TestBarrierObjective:
         with pytest.raises(ValueError, match="tolerance_ratio_min"):
             barrier_objective(ratio_violated, 1.0, W1111, ONES, CONS, BOUNDS)
 
+    @pytest.mark.parametrize("name", ["volume_min", "tolerance_ratio_min"])
+    def test_subnormal_threshold_keeps_the_value_finite(self, name):
+        # the threshold scales the constraint's slack; 1/1e-311 overflows
+        tiny = ConstraintSet(**{name: 1e-311})
+        zero = ConstraintSet(**{name: 0.0})  # scale 1
+        value = barrier_objective(DEFAULT_X_INIT, 1.0, W1111, ONES, tiny,
+                                  BOUNDS)
+        base = barrier_objective(DEFAULT_X_INIT, 1.0, W1111, ONES, zero,
+                                 BOUNDS)
+        assert math.isfinite(value)
+        assert value - base == pytest.approx(math.log(1e-311), rel=1e-12)
+
     def test_negative_mu_rejected(self):
         with pytest.raises(ValueError):
             barrier_objective(DEFAULT_X_INIT, -1.0, W1111, ONES, CONS, BOUNDS)
@@ -60,7 +73,7 @@ class TestSolve:
     def test_converges_on_defaults(self):
         result = solve(W1111, ONES, BOUNDS, CONS, DEFAULT_X_INIT)
         assert result.status is SolverStatus.Converged
-        assert result.kkt_residual <= SolverSettings().kkt_tolerance
+        assert result.kkt_residual <= 1e-8
 
     def test_feasibility_postconditions(self):
         rng = np.random.default_rng(3)
@@ -105,9 +118,9 @@ class TestSolve:
             assert result.status is SolverStatus.Converged
             assert min(cons.values(result.x_star)) >= -1e-9
 
-    def test_iteration_cap_reports_limit(self):
-        capped = SolverSettings(max_outer_iterations=1)
-        result = solve(W1111, ONES, BOUNDS, CONS, DEFAULT_X_INIT, capped)
+    def test_iteration_cap_reports_limit(self, monkeypatch):
+        monkeypatch.setattr(dockopt.solver, "_MU_SCHEDULE", (1.0,))
+        result = solve(W1111, ONES, BOUNDS, CONS, DEFAULT_X_INIT)
         assert result.status is SolverStatus.IterationLimit
         assert BOUNDS.contains(result.x_star)
 
@@ -201,6 +214,14 @@ class TestMultiStart:
 def test_non_finite_field_rejected(cls, name, value):
     with pytest.raises(ValueError, match=name):
         cls(**{name: value})
+
+
+@pytest.mark.parametrize("name, value", [("multistart_count", 2.5),
+                                         ("multistart_count", 4.0),
+                                         ("seed", 0.5)])
+def test_solver_settings_take_integers(name, value):
+    with pytest.raises(ValueError, match=name):
+        SolverSettings(**{name: value})
 
 
 class TestGridOracle:
