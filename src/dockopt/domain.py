@@ -28,7 +28,7 @@ class InfeasibleRealizationError(ValueError):
     """No physical parameter set can reproduce the requested design variables."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DesignVector:
     """Abstract co-design variables ``[A, l, u, e, eta]``.
 

@@ -14,13 +14,19 @@ coefficients are exposed for calibration; the convex-combination form
 keeps every score inside [0, 1] on any design within the normalizers.
 
 The helpers suffixed ``_terms``/``_arrays`` accept numpy arrays for
-vectorized evaluation over design grids.
+vectorized evaluation over design grids.  ``cost_constants`` computes once
+per (weights, coefficients) the scalar constants of J and its gradient,
+each the same expression in the same evaluation order as in
+``objective_terms``/``total_cost_arrays``/``gradient_at``, so scalar code
+built on them (the solver's barrier kernel) reproduces those functions'
+floats bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,7 +86,7 @@ class ObjectiveCoefficients:
 _COEFFICIENT_NAMES = tuple(f.name for f in fields(ObjectiveCoefficients))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectiveValues:
     """Objective breakdown at one design: the four scores and the total."""
 
@@ -164,22 +170,78 @@ def gradient(x: DesignVector, w: WeightVector,
     return gradient_at(x.A, x.l, x.u, x.e, x.eta, w, coeff)
 
 
+class CostConstants(NamedTuple):
+    """Scalar constants of J and its gradient for one (weights,
+    coefficients) pair; see ``cost_constants``."""
+
+    # J: normalizers, coefficients, the surrogates' denominators, weights
+    A_max: float
+    l_max: float
+    kA: float
+    kl: float
+    ku: float
+    ke: float
+    k_eta: float
+    au: float
+    ae: float
+    a_eta: float
+    bA: float
+    bl: float
+    bu: float
+    sum_h: float
+    sum_c: float
+    sum_d: float
+    sum_v: float
+    p: float
+    q: float
+    r: float
+    s: float
+    # dJ/dA = slope_A * A / curv_A - lin_A, and likewise for l
+    slope_A: float
+    curv_A: float
+    lin_A: float
+    slope_l: float
+    curv_l: float
+    lin_l: float
+    # dJ/du = slope_u * u / sum_c - rel_u - ver_u; e and eta have no ver_
+    slope_u: float
+    rel_u: float
+    ver_u: float
+    slope_e: float
+    rel_e: float
+    slope_eta: float
+    rel_eta: float
+
+
+def cost_constants(w: WeightVector,
+                   coeff: ObjectiveCoefficients) -> CostConstants:
+    """The constants that ``objective_terms``, ``total_cost_arrays`` and
+    ``gradient_at`` evaluate on every call, computed once."""
+    c = coeff
+    sum_h = c.kA + c.kl
+    sum_c = c.ku + c.ke + c.k_eta
+    sum_d = c.au + c.ae + c.a_eta
+    sum_v = c.bA + c.bl + c.bu
+    return CostConstants(
+        c.A_max, c.l_max, c.kA, c.kl, c.ku, c.ke, c.k_eta, c.au, c.ae,
+        c.a_eta, c.bA, c.bl, c.bu, sum_h, sum_c, sum_d, sum_v,
+        w.p, w.q, w.r, w.s,
+        w.p * 2.0 * c.kA, c.A_max**2 * sum_h, w.s * c.bA / (c.A_max * sum_v),
+        w.p * 2.0 * c.kl, c.l_max**2 * sum_h, w.s * c.bl / (c.l_max * sum_v),
+        w.q * 2.0 * c.ku, w.r * c.au / sum_d, w.s * c.bu / sum_v,
+        w.q * 2.0 * c.ke, w.r * c.ae / sum_d,
+        w.q * 2.0 * c.k_eta, w.r * c.a_eta / sum_d)
+
+
 def gradient_at(A, l, u, e, eta, w: WeightVector,
                 coeff: ObjectiveCoefficients) -> np.ndarray:
     """Gradient of J at raw component values (vectorized over the last axis)."""
-    sum_h = coeff.kA + coeff.kl
-    sum_c = coeff.ku + coeff.ke + coeff.k_eta
-    sum_d = coeff.au + coeff.ae + coeff.a_eta
-    sum_v = coeff.bA + coeff.bl + coeff.bu
-
-    dA = w.p * 2.0 * coeff.kA * A / (coeff.A_max**2 * sum_h) \
-        - w.s * coeff.bA / (coeff.A_max * sum_v)
-    dl = w.p * 2.0 * coeff.kl * l / (coeff.l_max**2 * sum_h) \
-        - w.s * coeff.bl / (coeff.l_max * sum_v)
-    du = w.q * 2.0 * coeff.ku * u / sum_c - w.r * coeff.au / sum_d \
-        - w.s * coeff.bu / sum_v
-    de = w.q * 2.0 * coeff.ke * e / sum_c - w.r * coeff.ae / sum_d
-    deta = w.q * 2.0 * coeff.k_eta * eta / sum_c - w.r * coeff.a_eta / sum_d
+    k = cost_constants(w, coeff)
+    dA = k.slope_A * A / k.curv_A - k.lin_A
+    dl = k.slope_l * l / k.curv_l - k.lin_l
+    du = k.slope_u * u / k.sum_c - k.rel_u - k.ver_u
+    de = k.slope_e * e / k.sum_c - k.rel_e
+    deta = k.slope_eta * eta / k.sum_c - k.rel_eta
     return np.array([dA, dl, du, de, deta], dtype=float)
 
 
@@ -187,17 +249,9 @@ def gradient_bound(w: WeightVector, coeff: ObjectiveCoefficients,
                    A_hi: float, l_hi: float) -> np.ndarray:
     """Componentwise Lipschitz bound on J over a box with the given upper
     corner (lower corner at the origin).  Used for grid-resolution slack."""
-    sum_h = coeff.kA + coeff.kl
-    sum_c = coeff.ku + coeff.ke + coeff.k_eta
-    sum_d = coeff.au + coeff.ae + coeff.a_eta
-    sum_v = coeff.bA + coeff.bl + coeff.bu
-
-    LA = w.p * 2.0 * coeff.kA * A_hi / (coeff.A_max**2 * sum_h) \
-        + w.s * coeff.bA / (coeff.A_max * sum_v)
-    Ll = w.p * 2.0 * coeff.kl * l_hi / (coeff.l_max**2 * sum_h) \
-        + w.s * coeff.bl / (coeff.l_max * sum_v)
-    Lu = w.q * 2.0 * coeff.ku / sum_c + w.r * coeff.au / sum_d \
-        + w.s * coeff.bu / sum_v
-    Le = w.q * 2.0 * coeff.ke / sum_c + w.r * coeff.ae / sum_d
-    Leta = w.q * 2.0 * coeff.k_eta / sum_c + w.r * coeff.a_eta / sum_d
-    return np.array([LA, Ll, Lu, Le, Leta])
+    k = cost_constants(w, coeff)
+    return np.array([k.slope_A * A_hi / k.curv_A + k.lin_A,
+                     k.slope_l * l_hi / k.curv_l + k.lin_l,
+                     k.slope_u / k.sum_c + k.rel_u + k.ver_u,
+                     k.slope_e / k.sum_c + k.rel_e,
+                     k.slope_eta / k.sum_c + k.rel_eta])

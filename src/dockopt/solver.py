@@ -59,9 +59,14 @@ The solve loop works on plain Python floats: points, gradients and
 directions are lists of 5 floats and the Hessian is its 5 diagonal
 entries plus the two couplings, evaluated with ``math.log``/``math.log1p``.
 On vectors this short, numpy's per-call overhead costs far more than the
-arithmetic.  The cost and its gradient still come from
-``dockopt.objective`` (``total_cost_arrays`` and ``gradient_at``, called on
-floats), so the formulas live in one module.
+arithmetic.  Each trial point is evaluated once, in one fused pass
+(``_BarrierProblem.evaluate``): it rejects a point that is not strictly
+interior, then computes x, g1, g2, J, the barrier value and its gradient,
+and keeps A, l, eta, g1 and g2 so that the Hessian at an accepted point
+reuses them.  J and its gradient are built on
+``dockopt.objective.cost_constants``, computed once per problem, with the
+operations, in the order, of ``total_cost_arrays`` and ``gradient_at``, so
+they are those functions' floats bit for bit.
 """
 
 from __future__ import annotations
@@ -70,12 +75,16 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from math import log, log1p
 
 from scipy.stats import qmc
 
 from .domain import DesignBounds, DesignVector, WeightVector
-from .objective import (ObjectiveCoefficients, ObjectiveValues, gradient_at,
-                        total_cost, total_cost_arrays)
+# gradient_at and total_cost_arrays are not called here, but stay names of
+# this module: bench/tracing.py wraps them by name.
+from .objective import (ObjectiveCoefficients, ObjectiveValues,
+                        cost_constants, gradient_at, total_cost,
+                        total_cost_arrays)
 
 _VAR_NAMES = tuple(f.name for f in fields(DesignVector))
 _MIN_STEP = 1e-16
@@ -137,7 +146,7 @@ class SolverStatus(enum.Enum):
     LineSearchFailure = "LineSearchFailure"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BarrierStage:
     """One continuation stage: barrier weight, J at the stage solution,
     stationarity of the barrier objective, inner iterations spent."""
@@ -148,7 +157,7 @@ class BarrierStage:
     inner_iterations: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveResult:
     x_star: DesignVector
     objective: ObjectiveValues
@@ -166,10 +175,9 @@ class SolveResult:
 
 
 class _BarrierProblem:
-    """Barrier objective, gradient and Hessian in box-normalized
-    coordinates.  Points are lists of 5 floats; the bounds, ranges,
-    slack scales and cost-Hessian diagonal are float tuples fixed at
-    construction."""
+    """The barrier problem in box-normalized coordinates.  Points are
+    lists of 5 floats; the bounds, ranges, slack scales, cost constants
+    and cost-Hessian diagonal are fixed at construction."""
 
     def __init__(self, w: WeightVector, coeff: ObjectiveCoefficients,
                  bounds: DesignBounds, cons: ConstraintSet) -> None:
@@ -182,6 +190,7 @@ class _BarrierProblem:
         self.g1_scale = cons.volume_min if cons.volume_min > 0.0 else 1.0
         self.g2_scale = cons.tolerance_ratio_min if cons.tolerance_ratio_min > 0.0 else 1.0
         self.log_scales = math.log(self.g1_scale) + math.log(self.g2_scale)
+        self.k = cost_constants(w, coeff)
         self.cost_hess_diag = self._cost_hessian_diag()
 
     def x_of_z(self, z: list[float]) -> list[float]:
@@ -194,17 +203,6 @@ class _BarrierProblem:
         return (x[0] * x[1] - self.cons.volume_min,
                 x[4] / x[0] - self.cons.tolerance_ratio_min)
 
-    def interior(self, z: list[float]) -> bool:
-        for zi in z:
-            if not 0.0 < zi < 1.0:  # also rejects nan
-                return False
-        g1, g2 = self.constraints(self.x_of_z(z))
-        return g1 > 0.0 and g2 > 0.0
-
-    def cost(self, z: list[float]) -> float:
-        A, l, u, e, eta = self.x_of_z(z)
-        return float(total_cost_arrays(A, l, u, e, eta, self.w, self.coeff))
-
     def scaled_slacks(self, z: list[float]) -> list[float]:
         """Slacks of all 12 inequality faces, each scaled to O(1):
         5 lower bounds, 5 upper bounds, g1, g2."""
@@ -212,53 +210,80 @@ class _BarrierProblem:
         return [*z, *(1.0 - zi for zi in z),
                 g1 / self.g1_scale, g2 / self.g2_scale]
 
-    def value_grad(self, z: list[float], mu: float,
-                   ) -> tuple[float, list[float]]:
-        A, l, u, e, eta = x = self.x_of_z(z)
-        g1, g2 = self.constraints(x)
-        cost = float(total_cost_arrays(A, l, u, e, eta, self.w, self.coeff))
-        grad = [gi * r for gi, r in zip(
-            gradient_at(A, l, u, e, eta, self.w, self.coeff).tolist(),
-            self.range)]
-        if mu == 0.0:
-            return cost, grad
+    def evaluate(self, z: list[float], mu: float) -> tuple | None:
+        """The barrier at z in one pass, or None unless z is strictly
+        interior (every z_i in (0, 1), g1 > 0 and g2 > 0; nan fails).
+
+        Returns the point ``(z, f, g, cost, A, l, eta, g1, g2)``: the
+        barrier value f and its gradient g in z, J at x(z), and the parts
+        of x and the constraint values that ``hessian`` reuses.  With
+        mu = 0, f and g are J and its gradient.
+        """
         z0, z1, z2, z3, z4 = z
-        r0, r1, _, _, r4 = self.range
-        log_z = math.log(z0) + math.log(z1) + math.log(z2) \
-            + math.log(z3) + math.log(z4)
-        log_1mz = math.log1p(-z0) + math.log1p(-z1) + math.log1p(-z2) \
-            + math.log1p(-z3) + math.log1p(-z4)
-        value = cost - mu * (log_z + log_1mz + math.log(g1) + math.log(g2)
-                             - self.log_scales)
-        grad = [gi - mu / zi + mu / (1.0 - zi) for gi, zi in zip(grad, z)]
+        if not (0.0 < z0 < 1.0 and 0.0 < z1 < 1.0 and 0.0 < z2 < 1.0
+                and 0.0 < z3 < 1.0 and 0.0 < z4 < 1.0):
+            return None
+        lo0, lo1, lo2, lo3, lo4 = self.lb
+        r0, r1, r2, r3, r4 = self.range
+        A = lo0 + z0 * r0
+        l = lo1 + z1 * r1
+        u = lo2 + z2 * r2
+        e = lo3 + z3 * r3
+        eta = lo4 + z4 * r4
+        g1 = A * l - self.cons.volume_min
+        g2 = eta / A - self.cons.tolerance_ratio_min
+        if not (g1 > 0.0 and g2 > 0.0):
+            return None
+
+        # J and dJ/dx with the operations, in the order, of
+        # objective_terms, total_cost_arrays and gradient_at.
+        (A_max, l_max, kA, kl, ku, ke, k_eta, au, ae, a_eta, bA, bl, bu,
+         sum_h, sum_c, sum_d, sum_v, p, q, r, s,
+         slope_A, curv_A, lin_A, slope_l, curv_l, lin_l,
+         slope_u, rel_u, ver_u, slope_e, rel_e, slope_eta, rel_eta) = self.k
+        An = A / A_max
+        ln = l / l_max
+        h = (kA * An**2 + kl * ln**2) / sum_h
+        c = (ku * u**2 + ke * e**2 + k_eta * eta**2) / sum_c
+        d = (au * u + ae * e + a_eta * eta) / sum_d
+        v = (bA * An + bl * ln + bu * u) / sum_v
+        cost = p * h + q * c - r * d - s * v
+
+        log_z = log(z0) + log(z1) + log(z2) + log(z3) + log(z4)
+        log_1mz = log1p(-z0) + log1p(-z1) + log1p(-z2) + log1p(-z3) \
+            + log1p(-z4)
+        f = cost - mu * (log_z + log_1mz + log(g1) + log(g2)
+                         - self.log_scales)
+        # Gradient in z: dJ/dx_i times the range, the two box terms, then
+        # mu/g times each constraint's gradient, summed in that order.
         c1 = mu / g1
-        grad[0] -= c1 * (l * r0)
-        grad[1] -= c1 * (A * r1)
         c2 = mu / g2
-        grad[0] -= c2 * (-eta / A**2 * r0)
-        grad[4] -= c2 * (1.0 / A * r4)
-        return value, grad
+        g = [(slope_A * A / curv_A - lin_A) * r0 - mu / z0
+             + mu / (1.0 - z0) - c1 * (l * r0) - c2 * (-eta / A**2 * r0),
+             (slope_l * l / curv_l - lin_l) * r1 - mu / z1
+             + mu / (1.0 - z1) - c1 * (A * r1),
+             (slope_u * u / sum_c - rel_u - ver_u) * r2 - mu / z2
+             + mu / (1.0 - z2),
+             (slope_e * e / sum_c - rel_e) * r3 - mu / z3 + mu / (1.0 - z3),
+             (slope_eta * eta / sum_c - rel_eta) * r4 - mu / z4
+             + mu / (1.0 - z4) - c2 * (1.0 / A * r4)]
+        return z, f, g, cost, A, l, eta, g1, g2
 
     def _cost_hessian_diag(self) -> tuple[float, ...]:
         """Diagonal of the (separable) cost Hessian in z coordinates."""
-        c = self.coeff
-        w = self.w
-        quad = (
-            w.p * 2.0 * c.kA / (c.A_max**2 * (c.kA + c.kl)),
-            w.p * 2.0 * c.kl / (c.l_max**2 * (c.kA + c.kl)),
-            w.q * 2.0 * c.ku / (c.ku + c.ke + c.k_eta),
-            w.q * 2.0 * c.ke / (c.ku + c.ke + c.k_eta),
-            w.q * 2.0 * c.k_eta / (c.ku + c.ke + c.k_eta),
-        )
+        k = self.k
+        quad = (k.slope_A / k.curv_A, k.slope_l / k.curv_l,
+                k.slope_u / k.sum_c, k.slope_e / k.sum_c,
+                k.slope_eta / k.sum_c)
         return tuple(qi * (r * r) for qi, r in zip(quad, self.range))
 
-    def hessian(self, z: list[float], mu: float,
+    def hessian(self, point: tuple, mu: float,
                 ) -> tuple[list[float], float, float]:
-        """Exact barrier Hessian in z coordinates as an arrowhead: the 5
-        diagonal entries, then the (A, l) and (A, eta) entries, the only
-        nonzero ones off the diagonal (g1 ties A to l, g2 ties A to eta)."""
-        A, l, _, _, eta = x = self.x_of_z(z)
-        g1, g2 = self.constraints(x)
+        """Exact barrier Hessian in z coordinates at a point from
+        ``evaluate``, as an arrowhead: the 5 diagonal entries, then the
+        (A, l) and (A, eta) entries, the only nonzero ones off the diagonal
+        (g1 ties A to l, g2 ties A to eta)."""
+        z, _, _, _, A, l, eta, g1, g2 = point
         r0, r1, _, _, r4 = self.range
         diag = [ci + mu * (1.0 / (zi * zi) + 1.0 / ((1.0 - zi) * (1.0 - zi)))
                 for ci, zi in zip(self.cost_hess_diag, z)]
@@ -297,12 +322,13 @@ def barrier_objective(x: DesignVector, mu: float, w: WeightVector,
         raise ValueError("mu must be >= 0")
     problem = _BarrierProblem(w, coeff, bounds, cons)
     z = problem.z_of_x(x.as_tuple())
-    slacks = problem.scaled_slacks(z)
-    low = slacks.index(min(slacks))
-    if not slacks[low] > 0.0:
+    point = problem.evaluate(z, mu)
+    if point is None:
+        slacks = problem.scaled_slacks(z)
+        low = slacks.index(min(slacks))
         raise ValueError(f"point is not strictly interior: slack on "
                          f"{_slack_names()[low]} is non-positive")
-    return problem.value_grad(z, mu)[0]
+    return point[1]
 
 
 def _repair_to_interior(problem: _BarrierProblem, z: list[float],
@@ -320,7 +346,7 @@ def _repair_to_interior(problem: _BarrierProblem, z: list[float],
     anchor itself is the last point of that grid.
     """
     z = [min(max(zi, margin), 1.0 - margin) for zi in z]
-    if problem.interior(z):
+    if problem.evaluate(z, 0.0) is not None:
         return z
 
     top = 1.0 - margin
@@ -330,13 +356,13 @@ def _repair_to_interior(problem: _BarrierProblem, z: list[float],
     low = max(margin, (V / l - A_lb) / r_A)
     high = min(top, (eta / R - A_lb) / r_A) if R > 0.0 else top
     anchor = [0.5 * (low + high), top, 0.5, 0.5, top]
-    if not problem.interior(anchor):
+    if problem.evaluate(anchor, 0.0) is None:
         raise ValueError("could not repair start point to a strictly feasible "
                          "interior point; check bounds against constraints")
     for k in range(1, 64):
         t = k / 64
         candidate = [(1.0 - t) * zi + t * ai for zi, ai in zip(z, anchor)]
-        if problem.interior(candidate):
+        if problem.evaluate(candidate, 0.0) is not None:
             return candidate
     return anchor
 
@@ -345,12 +371,12 @@ def _dot(a: list[float], b: list[float]) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3] + a[4] * b[4]
 
 
-def _line_search(problem: _BarrierProblem, z: list[float], f: float,
-                 g: list[float], p: list[float], mu: float,
-                 boundary_fraction: float,
-                 ) -> tuple[list[float], float, list[float], float] | None:
-    """Armijo backtracking, starting from the largest box-respecting step;
-    trial points outside the strict interior shrink the step further."""
+def _line_search(problem: _BarrierProblem, point: tuple, p: list[float],
+                 mu: float, boundary_fraction: float) -> tuple | None:
+    """Armijo backtracking from an evaluated point, starting from the
+    largest box-respecting step; trial points outside the strict interior
+    shrink the step further.  Returns the accepted point, or None."""
+    z, f, g = point[:3]
     gp = _dot(g, p)
     nearest = math.inf
     for zi, pi in zip(z, p):
@@ -365,11 +391,10 @@ def _line_search(problem: _BarrierProblem, z: list[float], f: float,
     alpha = min(1.0, boundary_fraction * nearest)
 
     while alpha > _MIN_STEP:
-        z_trial = [zi + alpha * pi for zi, pi in zip(z, p)]
-        if problem.interior(z_trial):
-            f_trial, g_trial = problem.value_grad(z_trial, mu)
-            if f_trial <= f + _ARMIJO_C * alpha * gp:
-                return z_trial, f_trial, g_trial, alpha
+        trial = problem.evaluate([zi + alpha * pi for zi, pi in zip(z, p)], mu)
+        # trial[1] is the barrier value at the trial point
+        if trial is not None and trial[1] <= f + _ARMIJO_C * alpha * gp:
+            return trial
         alpha *= _BACKTRACK_FACTOR
     return None
 
@@ -392,48 +417,50 @@ def _arrowhead_solve(hess: tuple[list[float], float, float],
             -(geta + hAeta * pA) / deta]
 
 
-def _newton_direction(problem: _BarrierProblem, z: list[float], mu: float,
-                      g: list[float]) -> list[float]:
-    """Newton direction on the exact barrier Hessian, by one arrowhead
-    solve.  The Hessian is positive definite at every interior point (see
-    the module docstring), so the elimination fails, or p is not finite
-    or not a descent direction, only on a nan or an overflow; the
-    direction is then -g.
+def _newton_direction(problem: _BarrierProblem, point: tuple,
+                      mu: float) -> list[float]:
+    """Newton direction at an evaluated point on the exact barrier
+    Hessian, by one arrowhead solve.  The Hessian is positive definite at
+    every interior point (see the module docstring), so the elimination
+    fails, or p is not finite or not a descent direction, only on a nan or
+    an overflow; the direction is then -g.
     """
-    p = _arrowhead_solve(problem.hessian(z, mu), g)
+    g = point[2]
+    p = _arrowhead_solve(problem.hessian(point, mu), g)
     if p is not None and all(map(math.isfinite, p)) and _dot(g, p) < 0.0:
         return p
     return [-gi for gi in g]
 
 
 def _newton_stage(problem: _BarrierProblem, z: list[float], mu: float,
-                  tol: float) -> tuple[list[float], list[float], int, bool]:
+                  tol: float) -> tuple[tuple, int, bool]:
     """Minimize the barrier objective at fixed mu by Newton steps with
-    Armijo backtracking.
+    Armijo backtracking, from a strictly interior z.
 
-    Returns the iterate, its gradient, iterations used, and whether the
-    line search stalled.  Near-active slacks are position-quantized at
-    f64 resolution, so a stall with a vanishing step means the numerical
+    Returns the evaluated iterate, iterations used, and whether the line
+    search stalled.  Near-active slacks are position-quantized at f64
+    resolution, so a stall with a vanishing step means the numerical
     floor was reached, not that the direction failed.
     """
-    f, g = problem.value_grad(z, mu)
+    point = problem.evaluate(z, mu)
     stalled = False
     iterations = 0
 
-    while max(map(abs, g)) > tol and iterations < _MAX_INNER_ITERATIONS:
-        p = _newton_direction(problem, z, mu, g)
-        step = _line_search(problem, z, f, g, p, mu, boundary_fraction=0.995)
-        if step is None:
+    # point[0] is the iterate z and point[2] its gradient
+    while max(map(abs, point[2])) > tol \
+            and iterations < _MAX_INNER_ITERATIONS:
+        p = _newton_direction(problem, point, mu)
+        trial = _line_search(problem, point, p, mu, boundary_fraction=0.995)
+        if trial is None:
             stalled = True
             break
-        z_new, f_new, g_new, _ = step
-        moved = max(abs(a - b) for a, b in zip(z_new, z))
-        z, f, g = z_new, f_new, g_new
+        moved = max(abs(a - b) for a, b in zip(trial[0], point[0]))
+        point = trial
         iterations += 1
         if moved < 1e-15:
             break  # below position resolution; no progress possible
 
-    return z, g, iterations, stalled
+    return point, iterations, stalled
 
 
 def _solve_from_z(problem: _BarrierProblem, z0: list[float],
@@ -448,13 +475,14 @@ def _solve_from_z(problem: _BarrierProblem, z0: list[float],
     exited_by_stall = False
     for mu in _MU_SCHEDULE:
         inner_tol = max(0.3 * _KKT_TOLERANCE, 0.1 * mu)
-        z, g, inner, stalled_last = _newton_stage(problem, z, mu, inner_tol)
+        point, inner, stalled_last = _newton_stage(problem, z, mu, inner_tol)
+        z, _, g, cost = point[:4]
         total_inner += inner
         stationarity = max(map(abs, g))
         # Primal multiplier estimates give lambda_i * slack_i = mu exactly,
         # so mu itself is the complementarity gap against the true problem.
         residual = max(stationarity, mu)
-        trace.append(BarrierStage(mu=mu, cost=problem.cost(z),
+        trace.append(BarrierStage(mu=mu, cost=cost,
                                   stationarity=stationarity,
                                   inner_iterations=inner))
         if residual < best_residual:

@@ -1,7 +1,9 @@
-"""The solver's plain-float barrier core: value, gradient and arrowhead
-Hessian against the numpy reference, the Hessian against central
-differences, the arrowhead Newton solve's backward error, the
-steepest-descent fallback and the repair to a strictly feasible start."""
+"""The solver's plain-float barrier core: the fused evaluation against
+``dockopt.objective`` bit for bit and against the numpy reference, its
+interior test, the Hessian at an evaluated point against the one rebuilt
+from z and against central differences, the arrowhead Newton solve's
+backward error, the steepest-descent fallback and the repair to a
+strictly feasible start."""
 
 import math
 
@@ -12,7 +14,8 @@ from hypothesis import strategies as st
 
 from dockopt import (ConstraintSet, DesignBounds, DesignVector,
                      ObjectiveCoefficients, WeightVector, default_bounds)
-from dockopt.solver import (_arrowhead_solve, _BarrierProblem,
+from dockopt.objective import gradient_at, total_cost_arrays
+from dockopt.solver import (_arrowhead_solve, _BarrierProblem, _line_search,
                             _newton_direction, _repair_to_interior)
 from helpers import ReferenceBarrier
 
@@ -71,6 +74,22 @@ def _dense(hess):
     return H
 
 
+def _interior(problem, z):
+    """The definition of a strictly interior z: every z_i in (0, 1) (nan
+    is not) and both constraints strictly positive at x(z)."""
+    if not all(0.0 < zi < 1.0 for zi in z):
+        return False
+    g1, g2 = problem.constraints(problem.x_of_z(z))
+    return g1 > 0.0 and g2 > 0.0
+
+
+def _rebuilt(problem, z):
+    """A point for ``hessian`` rebuilt from z alone; the value, gradient
+    and cost slots are not read by the Hessian."""
+    A, l, _, _, eta = x = problem.x_of_z(z)
+    return (z, None, None, None, A, l, eta, *problem.constraints(x))
+
+
 ARROWHEAD = np.eye(5, dtype=bool)
 ARROWHEAD[0, 1] = ARROWHEAD[1, 0] = ARROWHEAD[0, 4] = ARROWHEAD[4, 0] = True
 
@@ -96,9 +115,10 @@ def test_barrier_core_matches_numpy_reference(w, coeff, instance, mu):
     bounds, cons, z = instance
     problem = _BarrierProblem(w, coeff, bounds, cons)
     reference = ReferenceBarrier(w, coeff, bounds, cons)
-    assume(problem.interior(z))
+    point = problem.evaluate(z, mu)
+    assume(point is not None)
 
-    value, grad = problem.value_grad(z, mu)
+    _, value, grad, cost = point[:4]
     ref_value, ref_grad = reference.value_grad(np.array(z), mu)
     # math.log may differ from numpy's vectorised log by one ulp, so the
     # value is compared relative to the size of the terms it sums.  Each
@@ -108,17 +128,99 @@ def test_barrier_core_matches_numpy_reference(w, coeff, instance, mu):
     logs = [*(math.log(zi) for zi in z), *(math.log1p(-zi) for zi in z),
             math.log(g1), math.log(problem.g1_scale),
             math.log(g2), math.log(problem.g2_scale)]
-    terms = abs(problem.cost(z)) + mu * sum(map(abs, logs))
+    terms = abs(cost) + mu * sum(map(abs, logs))
     assert math.isfinite(value)
     assert abs(value - ref_value) <= 1e-12 * terms
     assert np.max(np.abs(np.array(grad) - ref_grad)) \
         <= 1e-12 * np.max(np.abs(ref_grad))
 
     # the arrowhead holds every nonzero entry of the reference Hessian
-    hess = _dense(problem.hessian(z, mu))
+    hess = _dense(problem.hessian(point, mu))
     ref_hess = reference.hessian(np.array(z), mu)
     assert np.max(np.abs(hess - ref_hess)) <= 1e-12 * np.max(np.abs(ref_hess))
     assert not np.any(ref_hess[~ARROWHEAD])
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights, coefficients, instances(), barrier_weights)
+def test_fused_cost_and_gradient_are_the_objective_bit_for_bit(w, coeff,
+                                                              instance, mu):
+    bounds, cons, z = instance
+    problem = _BarrierProblem(w, coeff, bounds, cons)
+    point = problem.evaluate(z, mu)
+    assume(point is not None)
+    x = problem.x_of_z(z)
+    cost = float(total_cost_arrays(*x, w, coeff))
+    grad = [gi * r for gi, r in zip(gradient_at(*x, w, coeff).tolist(),
+                                    problem.range)]
+    assert point[3] == cost
+    _, value, gradient, _ = problem.evaluate(z, 0.0)[:4]
+    assert value == cost
+    assert gradient == grad
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights, coefficients, instances(), barrier_weights)
+def test_hessian_at_an_evaluated_point_is_the_one_rebuilt_from_z(
+        w, coeff, instance, mu):
+    bounds, cons, z = instance
+    problem = _BarrierProblem(w, coeff, bounds, cons)
+    point = problem.evaluate(z, mu)
+    assume(point is not None)
+    assert problem.hessian(point, mu) \
+        == problem.hessian(_rebuilt(problem, z), mu)
+    # and at the point that a Newton line search accepts
+    trial = _line_search(problem, point, _newton_direction(problem, point, mu),
+                         mu, boundary_fraction=0.995)
+    if trial is not None:
+        assert problem.hessian(trial, mu) \
+            == problem.hessian(_rebuilt(problem, trial[0]), mu)
+
+
+edge_values = st.sampled_from([0.0, 1.0, math.nan, 5e-324, 1.0 - EPS / 2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights, coefficients, instances(),
+       st.lists(st.one_of(st.none(), edge_values), min_size=5, max_size=5),
+       barrier_weights)
+def test_evaluate_rejects_exactly_the_points_outside_the_interior(
+        w, coeff, instance, edges, mu):
+    bounds, cons, z = instance
+    problem = _BarrierProblem(w, coeff, bounds, cons)
+    z = [zi if ei is None else ei for zi, ei in zip(z, edges)]
+    assert (problem.evaluate(z, mu) is not None) == _interior(problem, z)
+
+
+# Both thresholds 0: the centre of the default box is strictly interior.
+OPEN = _BarrierProblem(WeightVector(1, 1, 1, 1), ObjectiveCoefficients(),
+                       default_bounds(), ConstraintSet(0.0, 0.0))
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0, math.nan], ids=["0", "1", "nan"])
+@pytest.mark.parametrize("i", range(5))
+def test_a_coordinate_on_or_off_the_box_is_not_interior(i, value):
+    z = [0.5] * 5
+    assert OPEN.evaluate(z, 1.0) is not None
+    z[i] = value
+    assert OPEN.evaluate(z, 1.0) is None
+    assert not _interior(OPEN, z)
+
+
+@pytest.mark.parametrize("name", ["volume_min", "tolerance_ratio_min"])
+def test_a_constraint_at_exactly_zero_is_not_interior(name):
+    z = [0.5] * 5
+    A, l, _, _, eta = OPEN.x_of_z(z)
+    on_face = A * l if name == "volume_min" else eta / A
+    # g = 0 exactly on the face, and one ulp of the threshold inside it
+    for threshold, interior in ((on_face, False),
+                                (math.nextafter(on_face, 0.0), True)):
+        problem = _BarrierProblem(OPEN.w, OPEN.coeff, default_bounds(),
+                                  ConstraintSet(**{"volume_min": 0.0,
+                                                   "tolerance_ratio_min": 0.0,
+                                                   name: threshold}))
+        assert (problem.evaluate(z, 1.0) is not None) is interior
+        assert _interior(problem, z) is interior
 
 
 @settings(max_examples=150, deadline=None)
@@ -127,20 +229,21 @@ def test_hessian_matches_central_differences_of_gradient(w, coeff, instance,
                                                          mu):
     bounds, cons, z = instance
     problem = _BarrierProblem(w, coeff, bounds, cons)
-    assume(problem.interior(z))
-    hess = _dense(problem.hessian(z, mu))
+    point = problem.evaluate(z, mu)
+    assume(point is not None)
+    hess = _dense(problem.hessian(point, mu))
     distances = _axis_distances(problem, z)
     # every barrier gradient term is mu over a distance to a face, so this
     # bounds the size of the gradient's terms and hence their rounding
-    term_size = max(map(abs, problem.value_grad(z, 0.0)[1])) \
+    term_size = max(map(abs, problem.evaluate(z, 0.0)[2])) \
         + 4.0 * mu / min(distances)
     for j in range(5):
         h = 1e-4 * distances[j]
         plus, minus = list(z), list(z)
         plus[j] += h
         minus[j] -= h
-        fd = (np.array(problem.value_grad(plus, mu)[1])
-              - np.array(problem.value_grad(minus, mu)[1])) / (2.0 * h)
+        fd = (np.array(problem.evaluate(plus, mu)[2])
+              - np.array(problem.evaluate(minus, mu)[2])) / (2.0 * h)
         column = hess[:, j]
         tolerance = 1e-5 * np.max(np.abs(column)) + 16.0 * EPS * term_size / h
         assert np.max(np.abs(fd - column)) <= tolerance, j
@@ -151,9 +254,10 @@ def test_hessian_matches_central_differences_of_gradient(w, coeff, instance,
 def test_cholesky_direction_is_backward_stable(w, coeff, instance, mu):
     bounds, cons, z = instance
     problem = _BarrierProblem(w, coeff, bounds, cons)
-    assume(problem.interior(z))
-    _, grad = problem.value_grad(z, mu)
-    p = _arrowhead_solve(problem.hessian(z, mu), grad)
+    point = problem.evaluate(z, mu)
+    assume(point is not None)
+    grad = point[2]
+    p = _arrowhead_solve(problem.hessian(point, mu), grad)
     # the barrier Hessian is positive definite for mu > 0 (see solver.py)
     assert p is not None or mu == 0.0
     assume(p is not None)
@@ -190,7 +294,7 @@ class _FixedHessian:
     def __init__(self, hess):
         self.hess = hess
 
-    def hessian(self, z, mu):
+    def hessian(self, point, mu):
         diag, h01, h04 = self.hess
         return list(diag), h01, h04
 
@@ -206,7 +310,9 @@ ZERO_ETA_PIVOT = ([2.0, 3.0, 1.0, 4.0, 0.0], 0.5, 0.3)
                          ids=["indefinite", "nan", "zero-eta-pivot"])
 def test_steepest_descent_when_cholesky_fails(hess):
     assert _arrowhead_solve(hess, GRADIENT) is None
-    p = _newton_direction(_FixedHessian(hess), [0.5] * 5, 1.0, GRADIENT)
+    # only the (z, f, g) head of an evaluated point is read
+    p = _newton_direction(_FixedHessian(hess), ([0.5] * 5, 0.0, GRADIENT),
+                          1.0)
     assert p == [-gi for gi in GRADIENT]
 
 
@@ -223,5 +329,5 @@ def test_repair_reaches_the_interior_whenever_the_clipped_box_is_feasible(
     bounds, cons, z = instance
     problem = _BarrierProblem(WeightVector(1, 1, 1, 1),
                               ObjectiveCoefficients(), bounds, cons)
-    assume(problem.interior(z))
-    assert problem.interior(_repair_to_interior(problem, start))
+    assume(_interior(problem, z))
+    assert _interior(problem, _repair_to_interior(problem, start))
