@@ -24,6 +24,12 @@ is a configuration error naming its path, raised before any work starts.
 The environment variable ``DOCKOPT_SEED`` (integer) overrides every
 configured seed.
 
+Each JSON record is its result dataclass's fields (a SolveResult, its
+barrier trace ``outer_trace`` included; a CalibrationResult; a
+SimulationReport) plus the run's ``scenario``, ``weights``, ``target`` or
+``closed_form``.  The sweep CSV's columns are the WeightVector,
+DesignVector and ObjectiveValues fields, then the status.
+
 Exit codes: 0 success/converged, 1 usage or configuration error,
 2 solver did not converge (or a numerical audit failed).
 """
@@ -36,7 +42,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 import yaml
@@ -44,7 +50,8 @@ import yaml
 from .domain import (DesignBounds, DesignVector, DockGeometry,
                      InfeasibleRealizationError, KinematicProfile,
                      WeightVector, default_bounds, realize_design)
-from .objective import ObjectiveCoefficients, gradient_at, total_cost_arrays
+from .objective import (ObjectiveCoefficients, ObjectiveValues, gradient_at,
+                        total_cost_arrays)
 from .oracle import (SimulationConfig, rayleigh_success_probability,
                      simulate_docking)
 from .scenarios import (DEFAULT_X_INIT, FREE_COEFFICIENTS, Scenario,
@@ -56,7 +63,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NOT_CONVERGED = 2
 
-CSV_HEADER = "p,q,r,s,A,l,u,e,eta,h,c,d,v,J,status"
+CSV_HEADER = ",".join([*(f.name for cls in (WeightVector, DesignVector,
+                                              ObjectiveValues)
+                           for f in fields(cls)), "status"])
 
 
 class ConfigError(ValueError):
@@ -259,18 +268,10 @@ def _fmt(value: float) -> str:
 
 
 def _result_record(result: SolveResult, weights: WeightVector) -> dict:
-    return {
-        "weights": weights.as_dict(),
-        "x_star": asdict(result.x_star),
-        "objective": asdict(result.objective),
-        "kkt_residual": result.kkt_residual,
-        "constraint_values": {"volume": result.constraint_values[0],
-                              "tolerance_ratio": result.constraint_values[1]},
-        "active_set": list(result.active_set),
-        "iterations": result.iterations,
-        "status": result.status.value,
-        "start_index": result.start_index,
-    }
+    return {**asdict(result), "weights": asdict(weights),
+            "constraint_values": dict(zip(("volume", "tolerance_ratio"),
+                                          result.constraint_values)),
+            "status": result.status.value}
 
 
 def _print_report(scenario: Scenario, result: SolveResult,
@@ -382,9 +383,8 @@ def cmd_sweep(config_path: str, axis_specs: list[str]) -> int:
                                    scenario.bounds, scenario.constraints,
                                    config.settings)
         all_converged &= result.converged
-        o = result.objective
-        values = [weights.p, weights.q, weights.r, weights.s,
-                  *result.x_star.as_tuple(), o.h, o.c, o.d, o.v, o.J]
+        values = [*astuple(weights), *astuple(result.x_star),
+                  *astuple(result.objective)]
         rows.append(",".join(_fmt(v) for v in values)
                     + f",{result.status.value}")
 
@@ -413,7 +413,7 @@ def cmd_calibrate(config_path: str, budget: int = 1500) -> int:
           f"against scenario {scenario.name!r}")
     print(f"evaluations: {outcome.evaluations}  residual (L2^2): "
           f"{outcome.residual:.6g}")
-    for key, value in outcome.coefficients.as_dict().items():
+    for key, value in asdict(outcome.coefficients).items():
         print(f"  {key:6s} = {value:.9g}")
     print("solved optimum vs target:")
     x_star = asdict(outcome.x_star)
@@ -423,15 +423,9 @@ def cmd_calibrate(config_path: str, budget: int = 1500) -> int:
         rel = abs(got - want) / abs(want) if want else math.inf
         print(f"  {key:3s} = {got:.6g}  target {want:.6g}  rel err {rel:.3f}")
     if config.output_result:
-        record = {
-            "scenario": scenario.name,
-            "coefficients": outcome.coefficients.as_dict(),
-            "residual": outcome.residual,
-            "evaluations": outcome.evaluations,
-            "x_star": x_star,
-            "target": target,
-        }
-        _write_json(config.output_result, record)
+        _write_json(config.output_result, {**asdict(outcome),
+                                           "scenario": scenario.name,
+                                           "target": target})
         print(f"calibration record written to {config.output_result}")
     return EXIT_OK
 
@@ -454,12 +448,8 @@ def cmd_simulate(config_path: str) -> int:
     print(f"closed form:      {closed_form:.6f} (Rayleigh CDF)")
     print(f"difference:       {abs(report.success_rate - closed_form):.6f}")
     if config.output_result:
-        _write_json(config.output_result, {
-            "samples": report.samples,
-            "success_rate": report.success_rate,
-            "ci_halfwidth_95": report.ci_halfwidth_95,
-            "closed_form": closed_form,
-        })
+        _write_json(config.output_result, {**asdict(report),
+                                           "closed_form": closed_form})
         print(f"simulation record written to {config.output_result}")
     return EXIT_OK
 

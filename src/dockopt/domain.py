@@ -75,14 +75,12 @@ class WeightVector:
     s: float
 
     def __post_init__(self) -> None:
-        for name, value in self.as_dict().items():
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"weight {name} must be finite and >= 0, got {value}")
+                raise ValueError(f"weight {f.name} must be finite and >= 0, got {value}")
         if self.p + self.q + self.r + self.s <= 0.0:
             raise ValueError("at least one weight must be strictly positive")
-
-    def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def scaled(self, factor: float) -> "WeightVector":
         return WeightVector(self.p * factor, self.q * factor,

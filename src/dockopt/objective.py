@@ -25,7 +25,7 @@ floats bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -73,13 +73,6 @@ class ObjectiveCoefficients:
             raise ValueError("versatility coefficients bA + bl + bu must be positive")
         if self.A_max <= 0.0 or self.l_max <= 0.0:
             raise ValueError("normalizers A_max, l_max must be positive")
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: float(getattr(self, name))
-                for name in _COEFFICIENT_NAMES}
-
-    def replace(self, **changes: float) -> "ObjectiveCoefficients":
-        return replace(self, **changes)
 
 
 # Computed once: __post_init__ runs on every calibration evaluation.

@@ -19,7 +19,8 @@ pinned at 1 to remove the normalization null direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -133,11 +134,11 @@ def calibrate(target: Scenario, initial_coeff: ObjectiveCoefficients,
     if target.expected_x_star is None:
         raise ValueError(f"scenario {target.name!r} has no expected optimum "
                          "to calibrate against")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    if not (isinstance(budget, numbers.Integral) and budget >= 1):
+        raise ValueError(f"budget must be an integer >= 1, got {budget}")
 
     expected = np.array(target.expected_x_star.as_tuple())
-    pinned = initial_coeff.replace(kA=1.0, ku=1.0, au=1.0, bA=1.0)
+    pinned = replace(initial_coeff, kA=1.0, ku=1.0, au=1.0, bA=1.0)
     t_start = np.array([math.log(max(getattr(pinned, name), 1e-8))
                         for name in FREE_COEFFICIENTS])
 
@@ -151,7 +152,7 @@ def calibrate(target: Scenario, initial_coeff: ObjectiveCoefficients,
         # instead of the surrogates, which is numerically fragile.
         changes = {name: float(np.exp(np.clip(ti, -7.0, 6.0)))
                    for name, ti in zip(FREE_COEFFICIENTS, t)}
-        return pinned.replace(**changes)
+        return replace(pinned, **changes)
 
     def residual_of(t: np.ndarray) -> float:
         nonlocal evaluations
@@ -172,8 +173,6 @@ def calibrate(target: Scenario, initial_coeff: ObjectiveCoefficients,
         if best["residual"] >= before - 1e-12:
             break  # a full restart brought nothing new
 
-    if best["x"] is None:  # budget of 1 evaluates only the start point
-        residual_of(t_start)
     return CalibrationResult(coefficients=best["coeff"],
                              residual=best["residual"],
                              evaluations=evaluations,

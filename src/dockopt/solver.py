@@ -21,12 +21,13 @@ Each constraint's log slack is taken as log(g) - log(threshold), which
 stays finite for any positive threshold.
 
 The continuation runs the fixed schedule mu = 10^-k, k = 0..11.  A stage
-stops at a gradient of max(3e-9, mu/10) or after 200 Newton steps.
-First-order optimality is measured with primal multiplier estimates
-lambda_i = mu / slack_i; the reported KKT residual is
+ends at a gradient of max(3e-9, mu/10), after 200 Newton steps, or when
+no step makes progress (the line search finds none, or the accepted one
+leaves z in place).  First-order optimality is measured with primal
+multiplier estimates lambda_i = mu / slack_i; the reported KKT residual is
 max(stationarity, mu), mu being the complementarity gap the barrier
-leaves against the original problem, and a solve is Converged when the
-best stage's residual is at most 1e-8.
+leaves against the original problem.  A solve is Converged when the best
+stage's residual is at most 1e-8, and IterationLimit otherwise.
 
 The barrier is strictly convex on the interior for mu > 0 (Boyd &
 Vandenberghe, Convex Optimization, sections 3.1 and 11.2):
@@ -100,6 +101,8 @@ _KKT_TOLERANCE = 1e-8
 _MAX_INNER_ITERATIONS = 200
 _ARMIJO_C = 1e-4
 _BACKTRACK_FACTOR = 0.5
+_BOUNDARY_FRACTION = 0.995  # of the distance to the nearest box face
+_MARGIN = 1e-3  # range-relative clip of a start point inside the box
 
 
 @dataclass(frozen=True)
@@ -143,7 +146,6 @@ class SolverSettings:
 class SolverStatus(enum.Enum):
     Converged = "Converged"
     IterationLimit = "IterationLimit"
-    LineSearchFailure = "LineSearchFailure"
 
 
 @dataclass(frozen=True, slots=True)
@@ -315,11 +317,12 @@ def barrier_objective(x: DesignVector, mu: float, w: WeightVector,
                       bounds: DesignBounds) -> float:
     """Barrier-augmented cost at a strictly interior design.
 
-    With mu = 0 this is exactly J(x).  Raises ValueError naming the
-    violated slack if x touches or crosses any bound or constraint.
+    With mu = 0 this is exactly J(x).  Raises ValueError for a mu that
+    is not finite and >= 0, and naming the violated slack if x touches or
+    crosses any bound or constraint.
     """
-    if mu < 0.0:
-        raise ValueError("mu must be >= 0")
+    if not (math.isfinite(mu) and mu >= 0.0):
+        raise ValueError(f"mu must be finite and >= 0, got {mu}")
     problem = _BarrierProblem(w, coeff, bounds, cons)
     z = problem.z_of_x(x.as_tuple())
     point = problem.evaluate(z, mu)
@@ -331,29 +334,29 @@ def barrier_objective(x: DesignVector, mu: float, w: WeightVector,
     return point[1]
 
 
-def _repair_to_interior(problem: _BarrierProblem, z: list[float],
-                        margin: float = 1e-3) -> list[float]:
+def _repair_to_interior(problem: _BarrierProblem,
+                        z: list[float]) -> list[float]:
     """Clip into the box with a range-relative margin, then pull along a
     segment toward a strictly feasible anchor until the nonlinear
     constraints hold strictly.  Deterministic.
 
     Both constraints grow with l and eta, so the anchor puts them at
-    1 - margin, u and e at 0.5, and A at the middle of the band where
-    A*l > V and eta/A > R, clipped to [margin, 1 - margin].  If that
+    1 - _MARGIN, u and e at 0.5, and A at the middle of the band where
+    A*l > V and eta/A > R, clipped to [_MARGIN, 1 - _MARGIN].  If that
     anchor is not strictly feasible, no point of the clipped box is, and
     this raises ValueError.  Otherwise the first strictly feasible point
     on a 1/64 grid of the segment from the clipped start is returned; the
     anchor itself is the last point of that grid.
     """
-    z = [min(max(zi, margin), 1.0 - margin) for zi in z]
+    z = [min(max(zi, _MARGIN), 1.0 - _MARGIN) for zi in z]
     if problem.evaluate(z, 0.0) is not None:
         return z
 
-    top = 1.0 - margin
+    top = 1.0 - _MARGIN
     _, l, _, _, eta = problem.x_of_z([top] * 5)
     V, R = problem.cons.volume_min, problem.cons.tolerance_ratio_min
     A_lb, r_A = problem.lb[0], problem.range[0]
-    low = max(margin, (V / l - A_lb) / r_A)
+    low = max(_MARGIN, (V / l - A_lb) / r_A)
     high = min(top, (eta / R - A_lb) / r_A) if R > 0.0 else top
     anchor = [0.5 * (low + high), top, 0.5, 0.5, top]
     if problem.evaluate(anchor, 0.0) is None:
@@ -372,7 +375,7 @@ def _dot(a: list[float], b: list[float]) -> float:
 
 
 def _line_search(problem: _BarrierProblem, point: tuple, p: list[float],
-                 mu: float, boundary_fraction: float) -> tuple | None:
+                 mu: float) -> tuple | None:
     """Armijo backtracking from an evaluated point, starting from the
     largest box-respecting step; trial points outside the strict interior
     shrink the step further.  Returns the accepted point, or None."""
@@ -388,7 +391,7 @@ def _line_search(problem: _BarrierProblem, point: tuple, p: list[float],
             continue
         if 0.0 < limit < nearest:
             nearest = limit
-    alpha = min(1.0, boundary_fraction * nearest)
+    alpha = min(1.0, _BOUNDARY_FRACTION * nearest)
 
     while alpha > _MIN_STEP:
         trial = problem.evaluate([zi + alpha * pi for zi, pi in zip(z, p)], mu)
@@ -433,51 +436,45 @@ def _newton_direction(problem: _BarrierProblem, point: tuple,
 
 
 def _newton_stage(problem: _BarrierProblem, z: list[float], mu: float,
-                  tol: float) -> tuple[tuple, int, bool]:
+                  tol: float) -> tuple[tuple, int]:
     """Minimize the barrier objective at fixed mu by Newton steps with
     Armijo backtracking, from a strictly interior z.
 
-    Returns the evaluated iterate, iterations used, and whether the line
-    search stalled.  Near-active slacks are position-quantized at f64
-    resolution, so a stall with a vanishing step means the numerical
-    floor was reached, not that the direction failed.
+    Stops at the gradient tolerance, at the step cap, or when no step
+    makes progress: the line search finds none, or the accepted one
+    leaves z in place (near-active slacks are position-quantized at f64
+    resolution).  Returns the evaluated iterate and the steps taken.
     """
     point = problem.evaluate(z, mu)
-    stalled = False
     iterations = 0
 
     # point[0] is the iterate z and point[2] its gradient
     while max(map(abs, point[2])) > tol \
             and iterations < _MAX_INNER_ITERATIONS:
         p = _newton_direction(problem, point, mu)
-        trial = _line_search(problem, point, p, mu, boundary_fraction=0.995)
+        trial = _line_search(problem, point, p, mu)
         if trial is None:
-            stalled = True
-            break
+            break  # no acceptable step: no progress possible
         moved = max(abs(a - b) for a, b in zip(trial[0], point[0]))
         point = trial
         iterations += 1
         if moved < 1e-15:
             break  # below position resolution; no progress possible
 
-    return point, iterations, stalled
+    return point, iterations
 
 
 def _solve_from_z(problem: _BarrierProblem, z0: list[float],
                   start_index: int) -> SolveResult:
     z = _repair_to_interior(problem, z0)
     trace: list[BarrierStage] = []
-    total_inner = 0
-    stalled_last = False
     best_residual = math.inf
     best_z = z
 
-    exited_by_stall = False
     for mu in _MU_SCHEDULE:
         inner_tol = max(0.3 * _KKT_TOLERANCE, 0.1 * mu)
-        point, inner, stalled_last = _newton_stage(problem, z, mu, inner_tol)
+        point, inner = _newton_stage(problem, z, mu, inner_tol)
         z, _, g, cost = point[:4]
-        total_inner += inner
         stationarity = max(map(abs, g))
         # Primal multiplier estimates give lambda_i * slack_i = mu exactly,
         # so mu itself is the complementarity gap against the true problem.
@@ -487,21 +484,9 @@ def _solve_from_z(problem: _BarrierProblem, z0: list[float],
                                   inner_iterations=inner))
         if residual < best_residual:
             best_residual, best_z = residual, z
-        if stalled_last and residual > best_residual:
-            # Position-quantized slack: smaller mu only raises the
-            # stationarity floor, so stop the continuation here.
-            exited_by_stall = True
-            break
         if best_residual <= _KKT_TOLERANCE \
                 and residual > 10.0 * best_residual:
             break  # refinement exhausted; keep the best stage
-
-    if best_residual <= _KKT_TOLERANCE:
-        status = SolverStatus.Converged
-    elif exited_by_stall or stalled_last:
-        status = SolverStatus.LineSearchFailure
-    else:
-        status = SolverStatus.IterationLimit
 
     x = problem.x_of_z(best_z)
     x_star = DesignVector(*x)
@@ -514,8 +499,9 @@ def _solve_from_z(problem: _BarrierProblem, z0: list[float],
         kkt_residual=best_residual,
         constraint_values=problem.constraints(x),
         active_set=active,
-        iterations=total_inner,
-        status=status,
+        iterations=sum(stage.inner_iterations for stage in trace),
+        status=(SolverStatus.Converged if best_residual <= _KKT_TOLERANCE
+                else SolverStatus.IterationLimit),
         start_index=start_index,
         outer_trace=tuple(trace),
     )

@@ -171,7 +171,7 @@ def test_hessian_at_an_evaluated_point_is_the_one_rebuilt_from_z(
         == problem.hessian(_rebuilt(problem, z), mu)
     # and at the point that a Newton line search accepts
     trial = _line_search(problem, point, _newton_direction(problem, point, mu),
-                         mu, boundary_fraction=0.995)
+                         mu)
     if trial is not None:
         assert problem.hessian(trial, mu) \
             == problem.hessian(_rebuilt(problem, trial[0]), mu)

@@ -10,7 +10,7 @@ import yaml
 
 from dockopt import (ConstraintSet, DesignVector, DockGeometry,
                      ObjectiveCoefficients, SolverSettings, WeightVector,
-                     multi_start_solve)
+                     multi_start_solve, solve)
 from dockopt.cli import CSV_HEADER, ConfigError, load_config, main
 from dockopt.scenarios import scenario_by_name
 
@@ -398,10 +398,26 @@ def test_solve_record_keys(tmp_path, capsys):
     record = json.loads((tmp_path / "r.json").read_text())
     assert _key_paths(record) == (
         {"scenario", "kkt_residual", "active_set", "iterations", "status",
-         "start_index"}
+         "start_index", "outer_trace"}
         | _nested("weights", "pqrs") | _nested("x_star", _X_KEYS)
         | _nested("objective", {"h", "c", "d", "v", "J"})
         | _nested("constraint_values", {"volume", "tolerance_ratio"}))
+
+
+def test_solve_record_carries_the_barrier_trace(tmp_path, capsys):
+    cfg = write_config(tmp_path, scenario="general",
+                       output={"result": str(tmp_path / "r.json")})
+    assert main(["solve", cfg]) == 0
+    capsys.readouterr()
+    record = json.loads((tmp_path / "r.json").read_text())
+    general = scenario_by_name("general")
+    result = solve(general.weights, ObjectiveCoefficients(), general.bounds,
+                   general.constraints, general.x_init)
+    assert [set(stage) for stage in record["outer_trace"]] \
+        == [{"mu", "cost", "stationarity", "inner_iterations"}] \
+        * len(result.outer_trace)
+    assert [stage["mu"] for stage in record["outer_trace"]] \
+        == [stage.mu for stage in result.outer_trace]
 
 
 def test_calibrate_record_keys(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Built-in design intents, calibration behavior, and directional transfer."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -89,6 +92,11 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             calibrate(general, ObjectiveCoefficients(), budget=0,
                       settings=FAST)
+        # a fractional budget would overspend it, and nan would spend one
+        for budget in (2.5, math.nan):
+            with pytest.raises(ValueError, match="budget"):
+                calibrate(general, ObjectiveCoefficients(), budget=budget,
+                          settings=FAST)
         no_target = Scenario(name="bare", weights=general.weights,
                              bounds=general.bounds,
                              constraints=general.constraints,
@@ -134,7 +142,7 @@ class TestReferenceCoefficients:
         for _ in range(6):
             factors = np.exp(rng.uniform(np.log(0.5), np.log(2.0),
                                          len(FREE_COEFFICIENTS)))
-            perturbed = base.replace(**{
+            perturbed = dataclasses.replace(base, **{
                 name: getattr(base, name) * f
                 for name, f in zip(FREE_COEFFICIENTS, factors)})
             xs = self.solve_all(perturbed)

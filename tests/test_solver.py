@@ -68,6 +68,11 @@ class TestBarrierObjective:
         with pytest.raises(ValueError):
             barrier_objective(DEFAULT_X_INIT, -1.0, W1111, ONES, CONS, BOUNDS)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_non_finite_mu_rejected(self, mu):
+        with pytest.raises(ValueError, match="mu"):
+            barrier_objective(DEFAULT_X_INIT, mu, W1111, ONES, CONS, BOUNDS)
+
 
 class TestSolve:
     def test_converges_on_defaults(self):
@@ -123,6 +128,28 @@ class TestSolve:
         result = solve(W1111, ONES, BOUNDS, CONS, DEFAULT_X_INIT)
         assert result.status is SolverStatus.IterationLimit
         assert BOUNDS.contains(result.x_star)
+
+    def test_failed_line_search_ends_the_stage_without_progress(
+            self, monkeypatch):
+        # a line search that finds no step ends each stage like a step
+        # that leaves z in place: every stage runs, none takes a step
+        monkeypatch.setattr(dockopt.solver, "_line_search",
+                            lambda *args, **kwargs: None)
+        result = solve(W1111, ONES, BOUNDS, CONS, DEFAULT_X_INIT)
+        assert result.status is SolverStatus.IterationLimit
+        assert [stage.mu for stage in result.outer_trace] \
+            == list(dockopt.solver._MU_SCHEDULE)
+        assert result.iterations == 0
+        assert result.x_star == DEFAULT_X_INIT
+
+    def test_iterations_are_the_trace_total(self):
+        result = solve(W1111, ONES, BOUNDS, CONS, DEFAULT_X_INIT)
+        assert result.iterations == sum(stage.inner_iterations
+                                        for stage in result.outer_trace) > 0
+
+    def test_status_is_converged_or_iteration_limit(self):
+        assert [s.name for s in SolverStatus] \
+            == ["Converged", "IterationLimit"]
 
     def test_active_set_on_binding_constraint(self):
         # a moderate reliability weight drives eta and u to their upper
