@@ -14,8 +14,8 @@ central finite differences.
 import numpy as np
 
 from dockopt import (DesignVector, ObjectiveCoefficients, WeightVector,
-                     gradient, total_cost)
-from dockopt.objective import total_cost_arrays
+                     total_cost)
+from dockopt.objective import gradient_at, total_cost_arrays
 
 coeff = ObjectiveCoefficients()  # all-ones defaults, Table-style normalizers
 
@@ -46,7 +46,7 @@ for name, x in designs.items():
 # ---------------------------------------------------------------------------
 
 x = designs["balanced"]
-analytic = gradient(x, weights, coeff)
+analytic = gradient_at(*x.as_tuple(), weights, coeff)
 numeric = np.empty(5)
 point = np.array(x.as_tuple())
 for i in range(5):

@@ -8,17 +8,15 @@ pressure shrinks control fidelity, entry area, and tolerance together,
 while the survey intent grows all three.
 """
 
-from dockopt import SolverSettings, multi_start_solve, reference_coefficients
+from dockopt import reference_coefficients, solve
 from dockopt.scenarios import builtin_scenarios
 
 coeff = reference_coefficients()
-settings = SolverSettings(seed=0)
 
 results = {}
 for scenario in builtin_scenarios():
-    results[scenario.name] = multi_start_solve(
-        scenario.weights, coeff, scenario.bounds, scenario.constraints,
-        settings)
+    results[scenario.name] = solve(scenario.weights, coeff, scenario.bounds,
+                                   scenario.constraints, scenario.x_init)
 
 # ---------------------------------------------------------------------------
 # Side-by-side optima.

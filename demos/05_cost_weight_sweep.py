@@ -9,20 +9,19 @@ achieved cost score c falls while reliability d falls with it.
 
 import numpy as np
 
-from dockopt import (ConstraintSet, SolverSettings, WeightVector,
-                     default_bounds, multi_start_solve,
-                     reference_coefficients)
+from dockopt import (ConstraintSet, WeightVector, default_bounds,
+                     reference_coefficients, solve)
+from dockopt.scenarios import DEFAULT_X_INIT
 
 coeff = reference_coefficients()
 bounds = default_bounds()
 cons = ConstraintSet()
-settings = SolverSettings(multistart_count=8, seed=0)
 
 q_values = np.linspace(0.5, 3.0, 11)
 rows = []
 for q in q_values:
     weights = WeightVector(p=1.0, q=float(q), r=1.0, s=1.0)
-    result = multi_start_solve(weights, coeff, bounds, cons, settings)
+    result = solve(weights, coeff, bounds, cons, DEFAULT_X_INIT)
     rows.append((q, result))
 
 print(f"{'q':>5s} {'A':>7s} {'l':>6s} {'u':>6s} {'e':>6s} {'eta':>6s} "

@@ -6,8 +6,8 @@ from .domain import (DesignBounds, DesignVector, DockGeometry,
                      docking_tolerance, entry_area_fraction, realize_design,
                      saturate)
 from .objective import (ObjectiveCoefficients, ObjectiveValues,
-                        docking_reliability, gradient, hydro_loss,
-                        monetary_cost, total_cost, versatility)
+                        docking_reliability, hydro_loss, monetary_cost,
+                        total_cost, versatility)
 from .oracle import (SimulationConfig, SimulationReport,
                      rayleigh_success_probability, reliability_correlation,
                      simulate_docking)
@@ -25,7 +25,7 @@ __all__ = [
     "SolverSettings", "SolverStatus", "WeightVector", "barrier_objective",
     "builtin_scenarios", "calibrate", "control_fidelity", "default_bounds",
     "docking_reliability", "docking_tolerance", "entry_area_fraction",
-    "gradient", "hydro_loss", "monetary_cost", "multi_start_solve",
+    "hydro_loss", "monetary_cost", "multi_start_solve",
     "rayleigh_success_probability", "realize_design",
     "reference_coefficients", "reliability_correlation", "saturate",
     "scenario_by_name", "simulate_docking", "solve", "total_cost",

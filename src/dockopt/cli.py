@@ -16,11 +16,15 @@ The keys of a section that builds a dataclass are that class's field
 names: ``problem.weights`` (WeightVector), ``problem.x_init``,
 ``problem.expected_x_star`` and ``problem.bounds.lower``/``upper``
 (DesignVector), ``problem.constraints`` (ConstraintSet), ``coefficients``
-(ObjectiveCoefficients), ``solver`` (SolverSettings: ``multistart_count``
-and ``seed`` only; the barrier schedule and tolerances are fixed) and
-``simulation.geometry`` (DockGeometry).  Integer fields take integral
-values only (``3`` or ``3.0``).  Every bad value, an unknown key included,
-is a configuration error naming its path, raised before any work starts.
+(ObjectiveCoefficients), ``solver`` (SolverSettings) and
+``simulation.geometry`` (DockGeometry).  ``solve`` and ``sweep`` run one
+barrier solve per weight vector from the problem's ``x_init``, so
+``solver`` sets only the Latin-hypercube starts of ``calibrate``
+(``multistart_count`` and ``seed``) and the default seed of ``simulate``
+and ``check-gradients``; the barrier schedule and tolerances are fixed.
+Integer fields take integral values only (``3`` or ``3.0``).  Every bad
+value, an unknown key included, is a configuration error naming its path,
+raised before any work starts.
 The environment variable ``DOCKOPT_SEED`` (integer) overrides every
 configured seed.
 
@@ -56,8 +60,7 @@ from .oracle import (SimulationConfig, rayleigh_success_probability,
                      simulate_docking)
 from .scenarios import (DEFAULT_X_INIT, FREE_COEFFICIENTS, Scenario,
                         calibrate, scenario_by_name)
-from .solver import (ConstraintSet, SolveResult, SolverSettings,
-                     multi_start_solve, solve)
+from .solver import ConstraintSet, SolveResult, SolverSettings, solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -311,17 +314,12 @@ def _write_json(path: str, record: dict) -> None:
         handle.write("\n")
 
 
-def cmd_solve(config_path: str, multistart: bool = False) -> int:
+def cmd_solve(config_path: str) -> int:
     """Run one optimization and report the optimal design."""
     config = load_config(config_path)
     scenario = config.scenario
-    if multistart:
-        result = multi_start_solve(scenario.weights, config.coefficients,
-                                   scenario.bounds, scenario.constraints,
-                                   config.settings)
-    else:
-        result = solve(scenario.weights, config.coefficients, scenario.bounds,
-                       scenario.constraints, scenario.x_init)
+    result = solve(scenario.weights, config.coefficients, scenario.bounds,
+                   scenario.constraints, scenario.x_init)
     _print_report(scenario, result, config)
     if config.output_result:
         record = _result_record(result, scenario.weights)
@@ -379,9 +377,8 @@ def cmd_sweep(config_path: str, axis_specs: list[str]) -> int:
     rows = []
     all_converged = True
     for weights in sweep_weights:
-        result = multi_start_solve(weights, config.coefficients,
-                                   scenario.bounds, scenario.constraints,
-                                   config.settings)
+        result = solve(weights, config.coefficients, scenario.bounds,
+                       scenario.constraints, scenario.x_init)
         all_converged &= result.converged
         values = [*astuple(weights), *astuple(result.x_star),
                   *astuple(result.objective)]
@@ -493,9 +490,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p_solve = sub.add_parser("solve", help="run one optimization")
     p_solve.add_argument("config")
-    p_solve.add_argument("--multistart", action="store_true",
-                         help="use Latin-hypercube multi-start instead of "
-                              "the configured initial guess")
 
     p_sweep = sub.add_parser("sweep", help="weight sweep to CSV")
     p_sweep.add_argument("config")
@@ -522,7 +516,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "solve":
-            return cmd_solve(args.config, multistart=args.multistart)
+            return cmd_solve(args.config)
         if args.command == "sweep":
             return cmd_sweep(args.config, args.axis)
         if args.command == "calibrate":

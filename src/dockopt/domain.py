@@ -13,6 +13,7 @@ deterministic inverse mapping back to physical parameters.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 FULL_SPHERE = 4.0 * math.pi
@@ -26,6 +27,16 @@ ENTRY_SPAN_MAX = (0.0, 2.0 * math.pi, 0.0, 3.0 * math.pi / 4.0)
 
 class InfeasibleRealizationError(ValueError):
     """No physical parameter set can reproduce the requested design variables."""
+
+
+def check_integer(name: str, value, least: int, most: int | None = None,
+                  ) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool) in
+    ``[least, most]``; no upper limit when ``most`` is None."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least or (most is not None and value > most)):
+        span = f">= {least}" if most is None else f"in {least}..{most}"
+        raise ValueError(f"{name} must be an integer {span}, got {value}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,8 +142,7 @@ class KinematicProfile:
     accuracy_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.dof_count not in (1, 2, 3, 4, 5, 6):
-            raise ValueError(f"dof_count must be an integer in 1..6, got {self.dof_count}")
+        check_integer("dof_count", self.dof_count, 1, 6)
         if not (math.isfinite(self.control_error_sigma) and self.control_error_sigma > 0.0):
             raise ValueError(f"control error sigma_c must be positive and "
                              f"finite, got {self.control_error_sigma}")
@@ -245,13 +255,18 @@ def realize_design(x: DesignVector, sigma_c_target: float,
       growing theta2 up to 2*pi and only then opening phi2 further.
     * clearance D = (1 + eta) * sigma_c reproduces eta exactly.
 
-    Raises InfeasibleRealizationError when u is at or below the authority
-    floor w1/(6*(w1+w2)), which no accuracy value can compensate.
+    Raises ValueError naming a weight that is not finite and >= 0, and
+    InfeasibleRealizationError when u is at or below the authority floor
+    w1/(6*(w1+w2)), which no accuracy value can compensate.
     """
     if not (math.isfinite(sigma_c_target) and sigma_c_target > 0.0):
         raise ValueError("sigma_c_target must be positive and finite")
-    if w1 < 0.0 or w2 < 0.0 or w1 + w2 <= 0.0:
-        raise ValueError("w1, w2 must be >= 0 with a positive sum")
+    for name, weight in (("w1", w1), ("w2", w2)):
+        if not (math.isfinite(weight) and weight >= 0.0):
+            raise ValueError(f"weight {name} must be finite and >= 0, "
+                             f"got {weight}")
+    if w1 + w2 <= 0.0:
+        raise ValueError("w1 + w2 must be positive")
 
     profile = _invert_fidelity(x.u, x.A, sigma_c_target, w1, w2)
     geometry = _invert_entry_area(x.e, clearance=(1.0 + x.eta) * profile.control_error_sigma)

@@ -153,16 +153,6 @@ def total_cost_arrays(A, l, u, e, eta, w: WeightVector,
     return w.p * h + w.q * c - w.r * d - w.s * v
 
 
-def gradient(x: DesignVector, w: WeightVector,
-             coeff: ObjectiveCoefficients) -> np.ndarray:
-    """Analytic dJ/d[A, l, u, e, eta].
-
-    Every surrogate is polynomial, so the gradient is exact closed form
-    and defined on all of the positive orthant, not just inside bounds.
-    """
-    return gradient_at(x.A, x.l, x.u, x.e, x.eta, w, coeff)
-
-
 class CostConstants(NamedTuple):
     """Scalar constants of J and its gradient for one (weights,
     coefficients) pair; see ``cost_constants``."""
@@ -236,15 +226,3 @@ def gradient_at(A, l, u, e, eta, w: WeightVector,
     de = k.slope_e * e / k.sum_c - k.rel_e
     deta = k.slope_eta * eta / k.sum_c - k.rel_eta
     return np.array([dA, dl, du, de, deta], dtype=float)
-
-
-def gradient_bound(w: WeightVector, coeff: ObjectiveCoefficients,
-                   A_hi: float, l_hi: float) -> np.ndarray:
-    """Componentwise Lipschitz bound on J over a box with the given upper
-    corner (lower corner at the origin).  Used for grid-resolution slack."""
-    k = cost_constants(w, coeff)
-    return np.array([k.slope_A * A_hi / k.curv_A + k.lin_A,
-                     k.slope_l * l_hi / k.curv_l + k.lin_l,
-                     k.slope_u / k.sum_c + k.rel_u + k.ver_u,
-                     k.slope_e / k.sum_c + k.rel_e,
-                     k.slope_eta / k.sum_c + k.rel_eta])

@@ -16,12 +16,11 @@ control-fidelity effects are outside its success condition.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DesignVector, DockGeometry
+from .domain import DesignVector, DockGeometry, check_integer
 from .objective import ObjectiveCoefficients, docking_reliability
 
 _CHUNK = 1_000_000
@@ -35,11 +34,8 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, least in (("samples", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}, "
-                                 f"got {value}")
+        check_integer("samples", self.samples, 1)
+        check_integer("seed", self.seed, 0)
         if not (math.isfinite(self.sigma_c) and self.sigma_c > 0.0):
             raise ValueError("sigma_c must be positive and finite")
 

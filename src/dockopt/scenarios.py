@@ -19,13 +19,13 @@ pinned at 1 to remove the normalization null direction.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .domain import DesignBounds, DesignVector, WeightVector, default_bounds
+from .domain import (DesignBounds, DesignVector, WeightVector, check_integer,
+                     default_bounds)
 from .objective import ObjectiveCoefficients
 from .solver import ConstraintSet, SolverSettings, multi_start_solve
 
@@ -134,8 +134,7 @@ def calibrate(target: Scenario, initial_coeff: ObjectiveCoefficients,
     if target.expected_x_star is None:
         raise ValueError(f"scenario {target.name!r} has no expected optimum "
                          "to calibrate against")
-    if not (isinstance(budget, numbers.Integral) and budget >= 1):
-        raise ValueError(f"budget must be an integer >= 1, got {budget}")
+    check_integer("budget", budget, 1)
 
     expected = np.array(target.expected_x_star.as_tuple())
     pinned = replace(initial_coeff, kA=1.0, ku=1.0, au=1.0, bA=1.0)

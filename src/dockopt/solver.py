@@ -51,10 +51,14 @@ eliminated onto A through the Schur complement
     s = d_A - h_Al^2 / d_l - h_Aeta^2 / d_eta,
 
 which is Cholesky on the reordered matrix and so fails only on a nan or an
-overflow; the direction is then -g.  Every start that converges reaches
-the same optimum.  Multi-start draws Latin-hypercube start points over
-the box (deterministic in the seed), repairs them to the interior and
-returns the best run.
+overflow; the direction is then -g.
+
+So one solve from any start reaches the optimum, and ``solve`` is the
+solver.  ``multi_start_solve`` runs it from Latin-hypercube start points
+(deterministic in the seed) and returns the first converged run.  It
+remains because calibration uses it: the reference coefficients and the
+calibration goldens were fitted with it, and the benchmark re-solves with
+it.
 
 The solve loop works on plain Python floats: points, gradients and
 directions are lists of 5 floats and the Hessian is its 5 diagonal
@@ -74,13 +78,12 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 from math import log, log1p
 
 from scipy.stats import qmc
 
-from .domain import DesignBounds, DesignVector, WeightVector
+from .domain import DesignBounds, DesignVector, WeightVector, check_integer
 # gradient_at and total_cost_arrays are not called here, but stay names of
 # this module: bench/tracing.py wraps them by name.
 from .objective import (ObjectiveCoefficients, ObjectiveValues,
@@ -135,12 +138,8 @@ class SolverSettings:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            least = 0 if f.name == "seed" else 1
-            if not (isinstance(value, numbers.Integral) and value >= least):
-                raise ValueError(f"solver setting {f.name} must be an "
-                                 f"integer >= {least}, got {value}")
+        check_integer("multistart_count", self.multistart_count, 1)
+        check_integer("seed", self.seed, 0)
 
 
 class SolverStatus(enum.Enum):
@@ -168,7 +167,6 @@ class SolveResult:
     active_set: tuple[str, ...]
     iterations: int
     status: SolverStatus
-    start_index: int = 0
     outer_trace: tuple[BarrierStage, ...] = field(default=(), repr=False)
 
     @property
@@ -464,8 +462,7 @@ def _newton_stage(problem: _BarrierProblem, z: list[float], mu: float,
     return point, iterations
 
 
-def _solve_from_z(problem: _BarrierProblem, z0: list[float],
-                  start_index: int) -> SolveResult:
+def _solve_from_z(problem: _BarrierProblem, z0: list[float]) -> SolveResult:
     z = _repair_to_interior(problem, z0)
     trace: list[BarrierStage] = []
     best_residual = math.inf
@@ -502,7 +499,6 @@ def _solve_from_z(problem: _BarrierProblem, z0: list[float],
         iterations=sum(stage.inner_iterations for stage in trace),
         status=(SolverStatus.Converged if best_residual <= _KKT_TOLERANCE
                 else SolverStatus.IterationLimit),
-        start_index=start_index,
         outer_trace=tuple(trace),
     )
 
@@ -519,30 +515,19 @@ def solve(w: WeightVector, coeff: ObjectiveCoefficients, bounds: DesignBounds,
     """
     problem = _BarrierProblem(w, coeff, bounds, cons)
     z0 = problem.z_of_x(x_init.as_tuple())
-    return _solve_from_z(problem, z0, start_index=0)
+    return _solve_from_z(problem, z0)
 
 
 def multi_start_solve(w: WeightVector, coeff: ObjectiveCoefficients,
                       bounds: DesignBounds, cons: ConstraintSet,
                       settings: SolverSettings = SolverSettings()) -> SolveResult:
-    """Run the solver from Latin-hypercube start points and keep the best.
+    """Run the solver from every Latin-hypercube start point and return the
+    first run that converged, or else the first run.
 
-    Converged runs win over non-converged ones; ties in J (within 1e-12)
-    break toward the lowest start index for determinism.  The problem is
-    convex, so converged starts agree on the optimum; the winner's own
-    result is returned.
+    The problem is convex, so converged starts agree on the optimum.
     """
     problem = _BarrierProblem(w, coeff, bounds, cons)
     sampler = qmc.LatinHypercube(d=5, seed=settings.seed)
     starts = sampler.random(settings.multistart_count).tolist()
-
-    results = [_solve_from_z(problem, starts[i], start_index=i)
-               for i in range(settings.multistart_count)]
-
-    converged = [r for r in results if r.converged]
-    pool = converged if converged else results
-    best = pool[0]
-    for r in pool[1:]:
-        if r.objective.J < best.objective.J - 1e-12:
-            best = r
-    return best
+    results = [_solve_from_z(problem, z) for z in starts]
+    return next((r for r in results if r.converged), results[0])

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from dockopt import DesignBounds, ObjectiveCoefficients, WeightVector
-from dockopt.objective import gradient_at, gradient_bound, total_cost_arrays
+from dockopt.objective import gradient_at, total_cost_arrays
 from dockopt.solver import ConstraintSet
 
 
@@ -45,8 +45,33 @@ def grid_resolution_slack(w: WeightVector, coeff: ObjectiveCoefficients,
     lb = np.array(bounds.lower.as_tuple())
     ub = np.array(bounds.upper.as_tuple())
     spacing = (ub - lb) / (points_per_axis - 1)
-    lipschitz = gradient_bound(w, coeff, A_hi=float(ub[0]), l_hi=float(ub[1]))
-    return float(np.sum(lipschitz * spacing))
+    return float(np.sum(_gradient_bound(w, coeff, ub) * spacing))
+
+
+def _gradient_bound(w: WeightVector, coeff: ObjectiveCoefficients,
+                    upper: np.ndarray) -> np.ndarray:
+    """Componentwise bound on |dJ/dx| over a box in the positive orthant
+    with upper corner ``upper``, read off the surrogate formulas.
+
+    Each partial derivative of J = p h + q c - r d - s v is the derivative
+    of a quadratic term, which grows with its variable, minus the slopes of
+    the linear d and v terms; both parts are bounded at the upper corner.
+    """
+    c = coeff
+    A_hi, l_hi, u_hi, e_hi, eta_hi = upper
+    sum_h = c.kA + c.kl
+    sum_c = c.ku + c.ke + c.k_eta
+    sum_d = c.au + c.ae + c.a_eta
+    sum_v = c.bA + c.bl + c.bu
+    return np.array([
+        w.p * 2 * c.kA * A_hi / (c.A_max**2 * sum_h)
+        + w.s * c.bA / (c.A_max * sum_v),
+        w.p * 2 * c.kl * l_hi / (c.l_max**2 * sum_h)
+        + w.s * c.bl / (c.l_max * sum_v),
+        w.q * 2 * c.ku * u_hi / sum_c + w.r * c.au / sum_d
+        + w.s * c.bu / sum_v,
+        w.q * 2 * c.ke * e_hi / sum_c + w.r * c.ae / sum_d,
+        w.q * 2 * c.k_eta * eta_hi / sum_c + w.r * c.a_eta / sum_d])
 
 
 def quadrature_entry_fraction(theta1: float, theta2: float,

@@ -109,10 +109,9 @@ class TestSweepCommand:
         _, csv_path = self.run_sweep(tmp_path, capsys, ["--axis", "q=1:2:5"])
         last = csv_path.read_text().splitlines()[-1].split(",")
         scenario = scenario_by_name("low-cost")
-        reference = multi_start_solve(scenario.weights,
-                                      scenario_coeff(), scenario.bounds,
-                                      scenario.constraints,
-                                      SolverSettings(**FAST_SOLVER))
+        reference = solve(scenario.weights, scenario_coeff(),
+                          scenario.bounds, scenario.constraints,
+                          scenario.x_init)
         for got, want in zip(last[4:9], reference.x_star.as_tuple()):
             assert float(got) == pytest.approx(want, abs=1e-8)
 
@@ -161,20 +160,13 @@ class TestSweepCommand:
                      "--axis", "q=1:2:3"]) == 1
         capsys.readouterr()
 
-    def test_env_seed_overrides_config(self, tmp_path, capsys, monkeypatch):
-        csv_a = tmp_path / "a.csv"
-        cfg_a = write_config(tmp_path, name="a.yaml", scenario="general",
-                             solver={"multistart_count": 4, "seed": 5},
-                             output={"csv": str(csv_a)})
-        monkeypatch.setenv("DOCKOPT_SEED", "0")
-        assert main(["sweep", cfg_a, "--axis", "q=1:2:2"]) == 0
-        monkeypatch.delenv("DOCKOPT_SEED")
-        csv_b = tmp_path / "b.csv"
-        cfg_b = write_config(tmp_path, name="b.yaml", scenario="general",
-                             solver=FAST_SOLVER, output={"csv": str(csv_b)})
-        assert main(["sweep", cfg_b, "--axis", "q=1:2:2"]) == 0
-        capsys.readouterr()
-        assert csv_a.read_bytes() == csv_b.read_bytes()
+    def test_never_runs_multi_start(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep ran a multi-start solve")
+        monkeypatch.setattr("dockopt.solver.multi_start_solve", refuse)
+        monkeypatch.setattr("dockopt.scenarios.multi_start_solve", refuse)
+        code, _ = self.run_sweep(tmp_path, capsys, ["--axis", "q=1:2:2"])
+        assert code == 0
 
     def test_bad_env_seed(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path, scenario="general")
@@ -200,6 +192,25 @@ class TestSimulateCommand:
         assert record["closed_form"] == pytest.approx(expected, abs=1e-9)
         assert abs(record["success_rate"] - expected) \
             < 3 * record["ci_halfwidth_95"]
+
+    def test_env_seed_overrides_config(self, tmp_path, capsys, monkeypatch):
+        def run(name, seed, env_seed=None):
+            result = tmp_path / f"{name}.json"
+            cfg = write_config(tmp_path, name=f"{name}.yaml",
+                               simulation={"samples": 1000, "seed": seed,
+                                           "geometry": _GEOMETRY},
+                               output={"result": str(result)})
+            if env_seed is None:
+                monkeypatch.delenv("DOCKOPT_SEED", raising=False)
+            else:
+                monkeypatch.setenv("DOCKOPT_SEED", env_seed)
+            assert main(["simulate", cfg]) == 0
+            capsys.readouterr()
+            return result.read_bytes()
+
+        seeded_0 = run("a", 0)
+        assert run("b", 5) != seeded_0  # the seed changes the output
+        assert run("c", 5, env_seed="0") == seeded_0
 
     def test_geometry_required(self, tmp_path, capsys):
         cfg = write_config(tmp_path, simulation={"samples": 1000})
@@ -398,7 +409,7 @@ def test_solve_record_keys(tmp_path, capsys):
     record = json.loads((tmp_path / "r.json").read_text())
     assert _key_paths(record) == (
         {"scenario", "kkt_residual", "active_set", "iterations", "status",
-         "start_index", "outer_trace"}
+         "outer_trace"}
         | _nested("weights", "pqrs") | _nested("x_star", _X_KEYS)
         | _nested("objective", {"h", "c", "d", "v", "J"})
         | _nested("constraint_values", {"volume", "tolerance_ratio"}))
@@ -453,7 +464,7 @@ def no_solve(monkeypatch):
     """Make any solve or calibration in the CLI fail the test."""
     def refuse(*args, **kwargs):
         raise AssertionError("a solve ran on a bad config")
-    for name in ("solve", "multi_start_solve", "calibrate"):
+    for name in ("solve", "calibrate"):
         monkeypatch.setattr(f"dockopt.cli.{name}", refuse)
 
 
@@ -488,13 +499,13 @@ def test_bad_simulate_count_rejected(tmp_path, capsys, key, value):
 
 def test_negative_solver_seed_rejected(tmp_path, capsys, no_solve):
     cfg = write_config(tmp_path, scenario="general", solver={"seed": -1})
-    config_error(capsys, ["solve", cfg, "--multistart"], "solver", "seed")
+    config_error(capsys, ["solve", cfg], "solver", "seed")
 
 
 def test_negative_env_seed_rejected(tmp_path, capsys, no_solve, monkeypatch):
     cfg = write_config(tmp_path, scenario="general")
     monkeypatch.setenv("DOCKOPT_SEED", "-1")
-    config_error(capsys, ["solve", cfg, "--multistart"], "DOCKOPT_SEED")
+    config_error(capsys, ["solve", cfg], "DOCKOPT_SEED")
 
 
 # max_outer_iterations is no longer a setting (the barrier schedule is

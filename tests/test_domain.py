@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from dockopt import (DesignVector, DockGeometry, InfeasibleRealizationError,
-                     KinematicProfile, WeightVector, control_fidelity,
-                     default_bounds, docking_tolerance, entry_area_fraction,
-                     realize_design, saturate)
+                     KinematicProfile, ObjectiveCoefficients,
+                     SimulationConfig, SolverSettings, WeightVector,
+                     calibrate, control_fidelity, default_bounds,
+                     docking_tolerance, entry_area_fraction, realize_design,
+                     saturate, scenario_by_name)
 from dockopt.domain import ENTRY_SPAN_MAX, ENTRY_SPAN_MIN, min_control_fidelity
 from helpers import quadrature_entry_fraction
 
@@ -200,6 +202,35 @@ class TestRealizeDesign:
         x_bad = DesignVector(A=0.04, l=1.0, u=0.05, e=0.5, eta=0.5)
         with pytest.raises(InfeasibleRealizationError):
             realize_design(x_bad, sigma_c_target=0.1, w1=1.0, w2=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["w1", "w2"])
+    def test_non_finite_weight_named(self, name, bad):
+        x = DesignVector(A=0.25, l=2.0, u=0.4, e=0.3, eta=0.5)
+        with pytest.raises(ValueError, match=f"weight {name} ") as err:
+            realize_design(x, 0.1, **{"w1": 1.0, "w2": 1.0, name: bad})
+        assert not isinstance(err.value, InfeasibleRealizationError)
+
+
+_GEOMETRY = DockGeometry(0.0, math.pi, 0.0, math.pi / 2, 0.2)
+
+
+@pytest.mark.parametrize("name, build", [
+    ("multistart_count", lambda v: SolverSettings(multistart_count=v)),
+    ("seed", lambda v: SolverSettings(seed=v)),
+    ("samples", lambda v: SimulationConfig(_GEOMETRY, 0.1, samples=v)),
+    ("seed", lambda v: SimulationConfig(_GEOMETRY, 0.1, seed=v)),
+    ("dof_count", lambda v: KinematicProfile(v, 0.1)),
+    ("budget", lambda v: calibrate(scenario_by_name("general"),
+                                   ObjectiveCoefficients(), budget=v)),
+], ids=["solver-starts", "solver-seed", "samples", "simulation-seed",
+        "dof_count", "budget"])
+@pytest.mark.parametrize("value", [True, 2.0, 2.5, math.nan])
+def test_integer_inputs_reject_bools_and_floats(name, build, value):
+    """Every integer input shares one rule: an int, never a bool or a
+    float, even an integral one."""
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        build(value)
 
 
 class TestTypeInvariants:

@@ -1,7 +1,7 @@
 """Interior-point solver: barrier construction, convergence, oracles."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -185,7 +185,30 @@ class TestMultiStart:
         first = multi_start_solve(W1111, ONES, BOUNDS, CONS, settings)
         again = multi_start_solve(W1111, ONES, BOUNDS, CONS, settings)
         assert first.x_star.as_tuple() == again.x_star.as_tuple()
-        assert first.start_index == 0
+
+    @pytest.mark.parametrize("statuses, winner", [
+        ("ICC", 1),  # the first converged start, though start 2 has lower J
+        ("III", 0),  # no start converged: the first start
+    ])
+    def test_winner_is_first_converged_start(self, monkeypatch, statuses,
+                                             winner):
+        base = solve(W1111, ONES, BOUNDS, CONS, DEFAULT_X_INIT)
+        runs = []
+
+        def fake_run(problem, z):
+            # each later start reports a lower J
+            status = SolverStatus.Converged if statuses[len(runs)] == "C" \
+                else SolverStatus.IterationLimit
+            objective = replace(base.objective,
+                                J=base.objective.J - len(runs))
+            runs.append(replace(base, status=status, objective=objective))
+            return runs[-1]
+
+        monkeypatch.setattr(dockopt.solver, "_solve_from_z", fake_run)
+        settings = SolverSettings(multistart_count=len(statuses), seed=0)
+        result = multi_start_solve(W1111, ONES, BOUNDS, CONS, settings)
+        assert len(runs) == len(statuses)  # every start still runs
+        assert result is runs[winner]
 
     def test_builtin_scenarios_agree_across_starts(self):
         for scenario in builtin_scenarios():
