@@ -34,6 +34,16 @@ SimulationReport) plus the run's ``scenario``, ``weights``, ``target`` or
 ``closed_form``.  The sweep CSV's columns are the WeightVector,
 DesignVector and ObjectiveValues fields, then the status.
 
+Bounds and constraints that leave no strictly feasible design are a
+configuration error too; it is raised by the first solve, before any
+output.
+
+Only ``calibrate`` imports scipy (scipy.optimize and scipy.stats, once
+it starts), and only ``calibrate``, ``simulate`` and ``check-gradients``
+import numpy; ``solve`` and ``sweep`` run on plain floats and load
+neither.  ``python -m dockopt`` runs this front end from
+a checkout with ``src`` on PYTHONPATH.
+
 Exit codes: 0 success/converged, 1 usage or configuration error,
 2 solver did not converge (or a numerical audit failed).
 """
@@ -48,7 +58,6 @@ import os
 import sys
 from dataclasses import asdict, astuple, dataclass, fields, replace
 
-import numpy as np
 import yaml
 
 from .domain import (DesignBounds, DesignVector, DockGeometry,
@@ -60,7 +69,8 @@ from .oracle import (SimulationConfig, rayleigh_success_probability,
                      simulate_docking)
 from .scenarios import (DEFAULT_X_INIT, FREE_COEFFICIENTS, Scenario,
                         calibrate, scenario_by_name)
-from .solver import ConstraintSet, SolveResult, SolverSettings, solve
+from .solver import (ConstraintSet, InfeasibleProblemError, SolveResult,
+                     SolverSettings, solve)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -453,6 +463,8 @@ def cmd_simulate(config_path: str) -> int:
 
 def cmd_check_gradients(config_path: str) -> int:
     """Compare analytic gradients against central finite differences."""
+    import numpy as np
+
     config = load_config(config_path, need_problem=False)
     bounds = config.scenario.bounds
     lb = np.array(bounds.lower.as_tuple())
@@ -525,7 +537,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_simulate(args.config)
         if args.command == "check-gradients":
             return cmd_check_gradients(args.config)
-    except ConfigError as exc:
+    except (ConfigError, InfeasibleProblemError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     raise AssertionError(f"unhandled command {args.command}")

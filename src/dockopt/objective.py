@@ -19,7 +19,8 @@ per (weights, coefficients) the scalar constants of J and its gradient,
 each the same expression in the same evaluation order as in
 ``objective_terms``/``total_cost_arrays``/``gradient_at``, so scalar code
 built on them (the solver's barrier kernel) reproduces those functions'
-floats bit for bit.
+floats bit for bit.  Only ``gradient_at``, which returns an array,
+imports numpy.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
-
-import numpy as np
 
 from .domain import DesignVector, WeightVector
 
@@ -219,6 +218,8 @@ def cost_constants(w: WeightVector,
 def gradient_at(A, l, u, e, eta, w: WeightVector,
                 coeff: ObjectiveCoefficients) -> np.ndarray:
     """Gradient of J at raw component values (vectorized over the last axis)."""
+    import numpy as np
+
     k = cost_constants(w, coeff)
     dA = k.slope_A * A / k.curv_A - k.lin_A
     dl = k.slope_l * l / k.curv_l - k.lin_l

@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .domain import DesignVector, DockGeometry, check_integer
 from .objective import ObjectiveCoefficients, docking_reliability
 
@@ -67,6 +65,8 @@ def simulate_docking(cfg: SimulationConfig) -> SimulationReport:
     circle of the dock entry.  The 95% confidence halfwidth uses the
     normal approximation 1.96 * sqrt(p(1-p)/n).
     """
+    import numpy as np
+
     rng = np.random.default_rng(cfg.seed)
     clearance = cfg.geometry.clearance
     successes = 0
@@ -94,6 +94,8 @@ def reliability_correlation(designs: list[DesignVector],
     for designs spanning a range of eta; at least 10 spanning [0, 1] is
     recommended.  Raises ValueError when either series is degenerate.
     """
+    import numpy as np
+
     if len(designs) < 2:
         raise ValueError("need at least two designs to correlate")
     rng = np.random.default_rng(seed)

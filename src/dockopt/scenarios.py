@@ -14,6 +14,11 @@ The exact surrogate coefficients behind those optima are not recoverable,
 so ``calibrate`` fits the free coefficients to a target optimum by
 Nelder-Mead over log-coefficients, with one coefficient per surrogate
 pinned at 1 to remove the normalization null direction.
+
+``calibrate`` is the only code here that loads scipy (``scipy.optimize``
+through ``minimize``, and ``scipy.stats`` through the solver's
+Latin-hypercube starts) and numpy, each on its first call; importing this
+module loads neither.
 """
 
 from __future__ import annotations
@@ -21,12 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-from scipy.optimize import minimize
-
 from .domain import (DesignBounds, DesignVector, WeightVector, check_integer,
                      default_bounds)
 from .objective import ObjectiveCoefficients
+# multi_start_solve and minimize stay names of this module: bench/tracing.py
+# wraps them by name.
 from .solver import ConstraintSet, SolverSettings, multi_start_solve
 
 # Coefficients the calibration adjusts; kA, ku, au, bA stay pinned at 1.
@@ -117,6 +121,12 @@ _REFERENCE_COEFFICIENTS: dict[str, float] = {
 }
 
 
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
+
+
 def calibrate(target: Scenario, initial_coeff: ObjectiveCoefficients,
               budget: int, settings: SolverSettings = SolverSettings(),
               ) -> CalibrationResult:
@@ -131,6 +141,8 @@ def calibrate(target: Scenario, initial_coeff: ObjectiveCoefficients,
     the budget runs out or a restart stops improving.  Never fails hard:
     the best coefficient set seen is returned with its residual.
     """
+    import numpy as np
+
     if target.expected_x_star is None:
         raise ValueError(f"scenario {target.name!r} has no expected optimum "
                          "to calibrate against")

@@ -58,7 +58,10 @@ solver.  ``multi_start_solve`` runs it from Latin-hypercube start points
 (deterministic in the seed) and returns the first converged run.  It
 remains because calibration uses it: the reference coefficients and the
 calibration goldens were fitted with it, and the benchmark re-solves with
-it.
+it.  Its sampler is this module's attribute ``qmc``
+(``scipy.stats.qmc``), which imports scipy.stats on first access, so
+importing this module and calling ``solve`` load neither scipy nor
+numpy.
 
 The solve loop works on plain Python floats: points, gradients and
 directions are lists of 5 floats and the Hessian is its 5 diagonal
@@ -81,11 +84,10 @@ import math
 from dataclasses import dataclass, field, fields
 from math import log, log1p
 
-from scipy.stats import qmc
-
 from .domain import DesignBounds, DesignVector, WeightVector, check_integer
 # gradient_at and total_cost_arrays are not called here, but stay names of
-# this module: bench/tracing.py wraps them by name.
+# this module: bench/tracing.py wraps them by name, and replaces ``qmc``
+# (see __getattr__).
 from .objective import (ObjectiveCoefficients, ObjectiveValues,
                         cost_constants, gradient_at, total_cost,
                         total_cost_arrays)
@@ -106,6 +108,21 @@ _ARMIJO_C = 1e-4
 _BACKTRACK_FACTOR = 0.5
 _BOUNDARY_FRACTION = 0.995  # of the distance to the nearest box face
 _MARGIN = 1e-3  # range-relative clip of a start point inside the box
+
+
+def __getattr__(name: str):
+    """``qmc`` is ``scipy.stats.qmc``, imported on first access and then
+    kept as a module global (PEP 562): scipy.stats takes longer to import
+    than a solve takes to run, and only ``multi_start_solve`` needs it."""
+    if name == "qmc":
+        from scipy.stats import qmc
+        globals()["qmc"] = qmc
+        return qmc
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class InfeasibleProblemError(ValueError):
+    """No point of the design box strictly satisfies both constraints."""
 
 
 @dataclass(frozen=True)
@@ -342,9 +359,9 @@ def _repair_to_interior(problem: _BarrierProblem,
     1 - _MARGIN, u and e at 0.5, and A at the middle of the band where
     A*l > V and eta/A > R, clipped to [_MARGIN, 1 - _MARGIN].  If that
     anchor is not strictly feasible, no point of the clipped box is, and
-    this raises ValueError.  Otherwise the first strictly feasible point
-    on a 1/64 grid of the segment from the clipped start is returned; the
-    anchor itself is the last point of that grid.
+    this raises InfeasibleProblemError.  Otherwise the first strictly
+    feasible point on a 1/64 grid of the segment from the clipped start is
+    returned; the anchor itself is the last point of that grid.
     """
     z = [min(max(zi, _MARGIN), 1.0 - _MARGIN) for zi in z]
     if problem.evaluate(z, 0.0) is not None:
@@ -358,8 +375,10 @@ def _repair_to_interior(problem: _BarrierProblem,
     high = min(top, (eta / R - A_lb) / r_A) if R > 0.0 else top
     anchor = [0.5 * (low + high), top, 0.5, 0.5, top]
     if problem.evaluate(anchor, 0.0) is None:
-        raise ValueError("could not repair start point to a strictly feasible "
-                         "interior point; check bounds against constraints")
+        raise InfeasibleProblemError(
+            f"no point inside the bounds strictly satisfies A*l > volume_min "
+            f"= {V:g} and eta/A > tolerance_ratio_min = {R:g}; check bounds "
+            "against constraints")
     for k in range(1, 64):
         t = k / 64
         candidate = [(1.0 - t) * zi + t * ai for zi, ai in zip(z, anchor)]
@@ -510,8 +529,8 @@ def solve(w: WeightVector, coeff: ObjectiveCoefficients, bounds: DesignBounds,
     A non-interior x_init is repaired by clipping into the box with a
     1e-3-range margin and, if a nonlinear constraint is violated, pulling
     along a segment toward one computed strictly feasible anchor (see
-    ``_repair_to_interior``); a ValueError means no point of the clipped
-    box is strictly feasible.
+    ``_repair_to_interior``); InfeasibleProblemError means no point of the
+    clipped box is strictly feasible.
     """
     problem = _BarrierProblem(w, coeff, bounds, cons)
     z0 = problem.z_of_x(x_init.as_tuple())
@@ -524,9 +543,12 @@ def multi_start_solve(w: WeightVector, coeff: ObjectiveCoefficients,
     """Run the solver from every Latin-hypercube start point and return the
     first run that converged, or else the first run.
 
-    The problem is convex, so converged starts agree on the optimum.
+    The problem is convex, so converged starts agree on the optimum.  The
+    sampler is read as the module attribute ``qmc`` on every call, so a
+    replacement set on the module is used.
     """
     problem = _BarrierProblem(w, coeff, bounds, cons)
+    qmc = globals().get("qmc") or __getattr__("qmc")
     sampler = qmc.LatinHypercube(d=5, seed=settings.seed)
     starts = sampler.random(settings.multistart_count).tolist()
     results = [_solve_from_z(problem, z) for z in starts]

@@ -551,3 +551,29 @@ def test_calibrate_reports_fitted_count(tmp_path, capsys):
     assert main(["calibrate", cfg, "--budget", "2"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("calibrated 7 coefficients")
+
+
+# On the default box A*l <= 3, so a volume floor of 5 leaves no feasible
+# design; expected_x_star lets calibrate get as far as its first solve.
+_INFEASIBLE_PROBLEM = {"weights": {"p": 1, "q": 1, "r": 1, "s": 1},
+                       "constraints": {"volume_min": 5.0},
+                       "expected_x_star": {"A": 0.5, "l": 2.0, "u": 0.5,
+                                           "e": 0.5, "eta": 0.7}}
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["sweep", "--axis", "q=1:2:2"],
+                                  ["calibrate", "--budget", "2"]],
+                         ids=["solve", "sweep", "calibrate"])
+def test_infeasible_problem_is_a_config_error(tmp_path, capsys, argv):
+    csv = tmp_path / "rows.csv"
+    cfg = write_config(tmp_path, problem=_INFEASIBLE_PROBLEM,
+                       solver={"multistart_count": 2, "seed": 0},
+                       output={"csv": str(csv)})
+    assert main([argv[0], cfg, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:")
+    assert captured.err.count("\n") == 1
+    assert "volume_min = 5" in captured.err
+    assert "tolerance_ratio_min = 1.5" in captured.err
+    assert not csv.exists()

@@ -12,6 +12,7 @@ from dockopt import (ConstraintSet, DesignVector, ObjectiveCoefficients,
                      barrier_objective, default_bounds, multi_start_solve,
                      reference_coefficients, solve, total_cost)
 from dockopt.scenarios import DEFAULT_X_INIT, builtin_scenarios
+from dockopt.solver import InfeasibleProblemError
 from helpers import grid_min_cost, grid_resolution_slack
 
 ONES = ObjectiveCoefficients()
@@ -272,6 +273,17 @@ def test_non_finite_field_rejected(cls, name, value):
 def test_solver_settings_take_integers(name, value):
     with pytest.raises(ValueError, match=name):
         SolverSettings(**{name: value})
+
+
+def test_infeasible_problem_raises_for_every_start():
+    # on BOUNDS A*l <= 3, so no design meets a volume floor of 5
+    cons = ConstraintSet(volume_min=5.0)
+    match = "volume_min = 5 and eta/A > tolerance_ratio_min = 1.5"
+    with pytest.raises(InfeasibleProblemError, match=match):
+        solve(W1111, ONES, BOUNDS, cons, DEFAULT_X_INIT)
+    with pytest.raises(InfeasibleProblemError, match=match):
+        multi_start_solve(W1111, ONES, BOUNDS, cons, FAST)
+    assert issubclass(InfeasibleProblemError, ValueError)
 
 
 class TestGridOracle:
