@@ -35,8 +35,9 @@ SimulationReport) plus the run's ``scenario``, ``weights``, ``target`` or
 DesignVector and ObjectiveValues fields, then the status.
 
 Bounds and constraints that leave no strictly feasible design are a
-configuration error too; it is raised by the first solve, before any
-output.
+configuration error too, found from the bounds and constraints alone
+when the config loads (``solver.interior_anchor``), so ``calibrate``
+reports it without importing scipy.
 
 Only ``calibrate`` imports scipy (scipy.optimize and scipy.stats, once
 it starts), and only ``calibrate``, ``simulate`` and ``check-gradients``
@@ -69,8 +70,8 @@ from .oracle import (SimulationConfig, rayleigh_success_probability,
                      simulate_docking)
 from .scenarios import (DEFAULT_X_INIT, FREE_COEFFICIENTS, Scenario,
                         calibrate, scenario_by_name)
-from .solver import (ConstraintSet, InfeasibleProblemError, SolveResult,
-                     SolverSettings, solve)
+from .solver import (ConstraintSet, SolveResult, SolverSettings,
+                     interior_anchor, solve)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -183,6 +184,7 @@ def _parse_problem(node, path: str) -> Scenario:
     if "expected_x_star" in node:
         expected = _build(DesignVector, node["expected_x_star"],
                           f"{path}.expected_x_star")
+    _construct(path, interior_anchor, bounds, constraints)
     return Scenario(name="custom", weights=weights, bounds=bounds,
                     constraints=constraints, x_init=x_init,
                     expected_x_star=expected)
@@ -537,7 +539,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_simulate(args.config)
         if args.command == "check-gradients":
             return cmd_check_gradients(args.config)
-    except (ConfigError, InfeasibleProblemError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     raise AssertionError(f"unhandled command {args.command}")

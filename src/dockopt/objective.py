@@ -19,8 +19,17 @@ per (weights, coefficients) the scalar constants of J and its gradient,
 each the same expression in the same evaluation order as in
 ``objective_terms``/``total_cost_arrays``/``gradient_at``, so scalar code
 built on them (the solver's barrier kernel) reproduces those functions'
-floats bit for bit.  Only ``gradient_at``, which returns an array,
-imports numpy.
+floats bit for bit.
+
+``total_cost_arrays`` on large arrays is limited by memory traffic, not
+arithmetic: the expression makes about 30 temporaries of the inputs'
+length.  So inputs of more than ``_BLOCK`` elements are evaluated in
+blocks of ``_BLOCK`` (``numpy.nditer``, buffered) into one output, and
+the temporaries of a block stay in cache.  Every element goes through the
+same operations as in one pass, so the result is the same floats; inputs
+of at most ``_BLOCK`` elements, floats and the solver's 5-element calls
+included, take the one-pass expression.  Only ``gradient_at`` and the
+blocked path import numpy.
 """
 
 from __future__ import annotations
@@ -30,6 +39,10 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .domain import DesignVector, WeightVector
+
+# Elements per block of the bulk path of total_cost_arrays: each of its
+# ~30 temporaries then takes 128 KiB and stays in cache.
+_BLOCK = 16_384
 
 
 @dataclass(frozen=True)
@@ -147,7 +160,44 @@ def objective_terms(A, l, u, e, eta, coeff: ObjectiveCoefficients):
 
 def total_cost_arrays(A, l, u, e, eta, w: WeightVector,
                       coeff: ObjectiveCoefficients):
-    """Vectorized J = p h + q c - r d - s v."""
+    """Vectorized J = p h + q c - r d - s v.
+
+    Inputs of at most ``_BLOCK`` elements each, floats included, are
+    evaluated in one pass.  Larger arrays are evaluated in blocks of
+    ``_BLOCK`` elements into one output, with the same operations on every
+    element, so the result is the one-pass result bit for bit, in its
+    dtype and broadcast shape."""
+    inputs = (A, l, u, e, eta)
+    if max(getattr(x, "size", 1) for x in inputs) <= _BLOCK:
+        return _total_cost(A, l, u, e, eta, w, coeff)
+
+    import numpy as np
+
+    # Only arrays are iterated; scalars (Python or numpy, 0-d arrays) enter
+    # every block as they are, which keeps numpy's promotion of each term.
+    blocked = [i for i, x in enumerate(inputs)
+               if isinstance(x, np.ndarray) and x.ndim > 0]
+    empty = list(inputs)
+    for i in blocked:
+        empty[i] = np.empty(0, inputs[i].dtype)
+    dtype = _total_cost(*empty, w, coeff).dtype
+    it = np.nditer([inputs[i] for i in blocked] + [None],
+                   flags=["external_loop", "buffered", "zerosize_ok"],
+                   op_flags=[["readonly"]] * len(blocked)
+                   + [["writeonly", "allocate"]],
+                   op_dtypes=[None] * len(blocked) + [dtype],
+                   buffersize=_BLOCK)
+    args = list(inputs)
+    with it:
+        for *chunks, out in it:
+            for i, chunk in zip(blocked, chunks):
+                args[i] = chunk
+            out[...] = _total_cost(*args, w, coeff)
+        return it.operands[-1]
+
+
+def _total_cost(A, l, u, e, eta, w: WeightVector,
+                coeff: ObjectiveCoefficients):
     h, c, d, v = objective_terms(A, l, u, e, eta, coeff)
     return w.p * h + w.q * c - w.r * d - w.s * v
 

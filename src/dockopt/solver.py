@@ -200,6 +200,7 @@ class _BarrierProblem:
                  bounds: DesignBounds, cons: ConstraintSet) -> None:
         self.w = w
         self.coeff = coeff
+        self.bounds = bounds
         self.cons = cons
         self.lb = bounds.lower.as_tuple()
         self.range = tuple(hi - lo for lo, hi in zip(self.lb,
@@ -349,36 +350,53 @@ def barrier_objective(x: DesignVector, mu: float, w: WeightVector,
     return point[1]
 
 
-def _repair_to_interior(problem: _BarrierProblem,
-                        z: list[float]) -> list[float]:
-    """Clip into the box with a range-relative margin, then pull along a
-    segment toward a strictly feasible anchor until the nonlinear
-    constraints hold strictly.  Deterministic.
+def interior_anchor(bounds: DesignBounds, cons: ConstraintSet) -> list[float]:
+    """The strictly feasible point, in box-normalized coordinates, toward
+    which ``_repair_to_interior`` pulls a start; it depends on the bounds
+    and constraints alone, so a configuration can be checked before any
+    solve.
 
     Both constraints grow with l and eta, so the anchor puts them at
     1 - _MARGIN, u and e at 0.5, and A at the middle of the band where
     A*l > V and eta/A > R, clipped to [_MARGIN, 1 - _MARGIN].  If that
     anchor is not strictly feasible, no point of the clipped box is, and
-    this raises InfeasibleProblemError.  Otherwise the first strictly
-    feasible point on a 1/64 grid of the segment from the clipped start is
-    returned; the anchor itself is the last point of that grid.
+    this raises InfeasibleProblemError.
+    """
+    lb = bounds.lower.as_tuple()
+    ranges = [hi - lo for lo, hi in zip(lb, bounds.upper.as_tuple())]
+    top = 1.0 - _MARGIN
+    l = lb[1] + top * ranges[1]
+    eta = lb[4] + top * ranges[4]
+    V, R = cons.volume_min, cons.tolerance_ratio_min
+    low = max(_MARGIN, (V / l - lb[0]) / ranges[0])
+    high = min(top, (eta / R - lb[0]) / ranges[0]) if R > 0.0 else top
+    z_A = 0.5 * (low + high)
+    # As _BarrierProblem.evaluate tests the point; nan fails.
+    A = lb[0] + z_A * ranges[0]
+    if not (0.0 < z_A < 1.0 and A * l - V > 0.0 and eta / A - R > 0.0):
+        raise InfeasibleProblemError(
+            f"no point inside the bounds strictly satisfies A*l > volume_min "
+            f"= {V:g} and eta/A > tolerance_ratio_min = {R:g}; check bounds "
+            "against constraints")
+    return [z_A, top, 0.5, 0.5, top]
+
+
+def _repair_to_interior(problem: _BarrierProblem,
+                        z: list[float]) -> list[float]:
+    """Clip into the box with a range-relative margin, then pull along a
+    segment toward ``interior_anchor`` until the nonlinear constraints hold
+    strictly.  Deterministic.
+
+    The first strictly feasible point on a 1/64 grid of the segment from
+    the clipped start is returned; the anchor itself is the last point of
+    that grid.  Raises InfeasibleProblemError when the clipped start is
+    not strictly feasible and no anchor exists.
     """
     z = [min(max(zi, _MARGIN), 1.0 - _MARGIN) for zi in z]
     if problem.evaluate(z, 0.0) is not None:
         return z
 
-    top = 1.0 - _MARGIN
-    _, l, _, _, eta = problem.x_of_z([top] * 5)
-    V, R = problem.cons.volume_min, problem.cons.tolerance_ratio_min
-    A_lb, r_A = problem.lb[0], problem.range[0]
-    low = max(_MARGIN, (V / l - A_lb) / r_A)
-    high = min(top, (eta / R - A_lb) / r_A) if R > 0.0 else top
-    anchor = [0.5 * (low + high), top, 0.5, 0.5, top]
-    if problem.evaluate(anchor, 0.0) is None:
-        raise InfeasibleProblemError(
-            f"no point inside the bounds strictly satisfies A*l > volume_min "
-            f"= {V:g} and eta/A > tolerance_ratio_min = {R:g}; check bounds "
-            "against constraints")
+    anchor = interior_anchor(problem.bounds, problem.cons)
     for k in range(1, 64):
         t = k / 64
         candidate = [(1.0 - t) * zi + t * ai for zi, ai in zip(z, anchor)]

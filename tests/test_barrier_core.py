@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 from dockopt import (ConstraintSet, DesignBounds, DesignVector,
                      ObjectiveCoefficients, WeightVector, default_bounds)
 from dockopt.objective import gradient_at, total_cost_arrays
-from dockopt.solver import (_arrowhead_solve, _BarrierProblem, _line_search,
-                            _newton_direction, _repair_to_interior)
+from dockopt.solver import (_MARGIN, InfeasibleProblemError,
+                            _arrowhead_solve, _BarrierProblem, _line_search,
+                            _newton_direction, _repair_to_interior,
+                            interior_anchor)
 from helpers import ReferenceBarrier
 
 EPS = np.finfo(float).eps
@@ -331,3 +333,34 @@ def test_repair_reaches_the_interior_whenever_the_clipped_box_is_feasible(
                               ObjectiveCoefficients(), bounds, cons)
     assume(_interior(problem, z))
     assert _interior(problem, _repair_to_interior(problem, start))
+
+
+def _anchor_from_the_problem(problem):
+    """The repair anchor as built from a _BarrierProblem's own x(z), or
+    None when the problem rejects it."""
+    top = 1.0 - _MARGIN
+    _, l, _, _, eta = problem.x_of_z([top] * 5)
+    V, R = problem.cons.volume_min, problem.cons.tolerance_ratio_min
+    A_lb, r_A = problem.lb[0], problem.range[0]
+    low = max(_MARGIN, (V / l - A_lb) / r_A)
+    high = min(top, (eta / R - A_lb) / r_A) if R > 0.0 else top
+    anchor = [0.5 * (low + high), top, 0.5, 0.5, top]
+    return anchor if problem.evaluate(anchor, 0.0) is not None else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxes, st.floats(0.0, 1.5), st.floats(0.0, 1.5))
+def test_interior_anchor_needs_only_bounds_and_constraints(bounds, a, b):
+    # thresholds from a share of the box's largest A*l and eta/A, so about
+    # half of the examples leave no strictly feasible point
+    lo, hi = bounds.lower, bounds.upper
+    cons = ConstraintSet(a * hi.A * hi.l, b * hi.eta / lo.A)
+    problem = _BarrierProblem(WeightVector(1, 1, 1, 1),
+                              ObjectiveCoefficients(), bounds, cons)
+    expected = _anchor_from_the_problem(problem)
+    if expected is None:
+        with pytest.raises(InfeasibleProblemError):
+            interior_anchor(bounds, cons)
+    else:
+        assert interior_anchor(bounds, cons) == expected
+        assert _interior(problem, expected)

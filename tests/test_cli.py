@@ -561,6 +561,13 @@ _INFEASIBLE_PROBLEM = {"weights": {"p": 1, "q": 1, "r": 1, "s": 1},
                                            "e": 0.5, "eta": 0.7}}
 
 
+def test_infeasible_problem_fails_when_the_config_loads(tmp_path):
+    cfg = write_config(tmp_path, problem=_INFEASIBLE_PROBLEM)
+    with pytest.raises(ConfigError, match=r"^problem: no point inside the "
+                       r"bounds .* volume_min = 5 "):
+        load_config(cfg)
+
+
 @pytest.mark.parametrize("argv", [["solve"], ["sweep", "--axis", "q=1:2:2"],
                                   ["calibrate", "--budget", "2"]],
                          ids=["solve", "sweep", "calibrate"])

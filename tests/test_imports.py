@@ -72,6 +72,31 @@ def test_calibrate_loads_scipy_on_first_use(tmp_path):
     assert {"scipy.optimize", "scipy.stats"} <= modules
 
 
+def test_float_only_bulk_cost_loads_no_numpy(tmp_path):
+    code, modules = imported_modules(tmp_path, "-c", (
+        "import dockopt.objective, dockopt.oracle\n"
+        "from dockopt.domain import WeightVector\n"
+        "J = dockopt.objective.total_cost_arrays(\n"
+        "    0.3, 1.5, 0.5, 0.5, 0.7, WeightVector(1.0, 1.0, 1.0, 1.0),\n"
+        "    dockopt.objective.ObjectiveCoefficients())\n"
+        "assert type(J) is float, type(J)\n"))
+    assert code == 0
+    assert heavy(modules) == []
+
+
+def test_infeasible_config_fails_before_calibrate_loads_scipy(tmp_path):
+    # on the default box A*l <= 3, so no design meets a volume floor of 5
+    cfg = write_config(tmp_path, problem={
+        "weights": {"p": 1, "q": 1, "r": 1, "s": 1},
+        "constraints": {"volume_min": 5.0},
+        "expected_x_star": {"A": 0.5, "l": 2.0, "u": 0.5, "e": 0.5,
+                            "eta": 0.7}})
+    code, modules = imported_modules(tmp_path, "-m", "dockopt", "calibrate",
+                                     cfg, "--budget", "2")
+    assert code == 1
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+
+
 def test_qmc_resolves_to_scipy_stats_qmc():
     from scipy.stats import qmc as scipy_qmc
 

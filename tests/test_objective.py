@@ -6,7 +6,9 @@ import pytest
 from dockopt import (DesignVector, ObjectiveCoefficients, WeightVector,
                      docking_reliability, hydro_loss, monetary_cost,
                      total_cost, versatility)
-from dockopt.objective import gradient_at, objective_terms, total_cost_arrays
+import dockopt.objective
+from dockopt.objective import (_BLOCK, gradient_at, objective_terms,
+                               total_cost_arrays)
 
 ONES = ObjectiveCoefficients()
 A_MAX, L_MAX = ONES.A_max, ONES.l_max
@@ -189,3 +191,84 @@ def test_weight_scaling_is_linear_in_J():
     for factor in (2.0, 10.0, 0.25):
         scaled = total_cost(x, w.scaled(factor), ONES).J
         assert scaled == pytest.approx(factor * base, rel=1e-12)
+
+
+class TestBlockedBulkCost:
+    """Inputs larger than one block are evaluated block by block; the
+    result must be the one-pass expression's, bit for bit, in its dtype
+    and shape."""
+
+    W = WeightVector(0.7, 1.3, 0.4, 2.0)
+    # Python floats, so float32 inputs give a float32 J
+    COEFF = ObjectiveCoefficients(*map(float, np.linspace(0.2, 2.2, 11)))
+
+    def unblocked(self, *x):
+        h, c, d, v = objective_terms(*x, self.COEFF)
+        return self.W.p * h + self.W.q * c - self.W.r * d - self.W.s * v
+
+    def assert_same(self, *x):
+        got = total_cost_arrays(*x, self.W, self.COEFF)
+        expected = self.unblocked(*x)
+        assert got.dtype == expected.dtype
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        return got
+
+    @staticmethod
+    def rows(n, seed=3, dtype=float):
+        return (np.random.default_rng(seed).random((5, n)) + 0.01) \
+            .astype(dtype)
+
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                   3 * _BLOCK + 17])
+    def test_sizes_around_the_block(self, n):
+        self.assert_same(*self.rows(n))
+
+    def test_each_block_is_one_evaluation(self, monkeypatch):
+        calls = []
+        original = dockopt.objective.objective_terms
+
+        def counting(*args):
+            calls.append(np.size(args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(dockopt.objective, "objective_terms", counting)
+        total_cost_arrays(*self.rows(3 * _BLOCK + 17), self.W, self.COEFF)
+        # the dtype probe on empty arrays, then one call per block
+        assert calls == [0] + [_BLOCK] * 3 + [17]
+
+    def test_python_float_broadcast_against_large_arrays(self):
+        A, l, u, e, eta = self.rows(2 * _BLOCK + 5)
+        self.assert_same(0.3, l, u, 0.5, eta)
+        self.assert_same(A, 1.5, 0.25, e, 0.75)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_int_and_float32_inputs(self, dtype):
+        x = self.rows(_BLOCK + 1, dtype=np.float64)
+        if dtype is np.int64:
+            x = np.round(10 * x)
+        x = x.astype(dtype)
+        got = self.assert_same(*x)
+        assert got.dtype == (np.float64 if dtype is np.int64 else np.float32)
+        self.assert_same(x[0], 1.5, *x[2:].astype(np.float64))
+
+    def test_non_contiguous_views(self):
+        columns = self.rows(2 * _BLOCK + 9).T.copy()  # (n, 5), C order
+        self.assert_same(*(columns[:, i] for i in range(5)))
+        self.assert_same(*(row[::2] for row in self.rows(3 * _BLOCK + 1)))
+
+    def test_multidimensional_broadcast(self):
+        A, l, u, e, eta = self.rows(_BLOCK + 3)
+        self.assert_same(A[:, None], l[:3][None, :], u[:, None],
+                         e[:3][None, :], 0.5)
+
+    def test_sparse_meshes(self):
+        # as in tests/helpers.grid_min_cost: small axes, one float
+        axes = [np.linspace(0.1, 1.0, 20) for _ in range(4)]
+        mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+        self.assert_same(0.4, *mesh)
+        # one axis larger than a block
+        big = np.meshgrid(np.linspace(0.1, 1.0, _BLOCK + 2),
+                          np.linspace(0.2, 0.9, 3), indexing="ij",
+                          sparse=True)
+        self.assert_same(big[0], big[1], 0.5, big[1], big[0])

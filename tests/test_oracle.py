@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dockopt import (DesignVector, DockGeometry, ObjectiveCoefficients,
                      SimulationConfig, docking_reliability,
                      rayleigh_success_probability, reliability_correlation,
                      simulate_docking)
+from dockopt.oracle import _CHUNK
 
 HEMISPHERE = (0.0, 2 * math.pi, 0.0, math.pi / 2)
 
@@ -85,6 +88,29 @@ class TestSimulateDocking:
                  for d in grid[::4]]
         for a, b in zip(rates, rates[1:]):
             assert a <= b + 2e-3
+
+    @settings(max_examples=60, deadline=None)
+    @given(sigma=st.floats(0.01, 10.0), ratio=st.floats(0.0, 4.0),
+           j=st.integers(-600, 600), seed=st.integers(0, 2**31))
+    def test_count_is_invariant_to_the_length_unit(self, sigma, ratio, j,
+                                                    seed):
+        # Scaling D and sigma_c by a power of two changes no sample's
+        # verdict; squaring the scaled errors would underflow or overflow.
+        k = 2.0**j
+        clearance = ratio * sigma
+        base = simulate_docking(config(clearance, sigma, 2_000, seed))
+        scaled = simulate_docking(config(clearance * k, sigma * k, 2_000,
+                                         seed))
+        assert scaled == base
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_chunked_count_matches_a_one_shot_hypot_reference(self, seed):
+        sigma, clearance = 0.1, 0.13
+        n = 3 * _CHUNK + 17
+        errors = np.random.default_rng(seed).normal(0.0, sigma, (n, 2))
+        expected = int(np.count_nonzero(np.hypot(*errors.T) <= clearance))
+        report = simulate_docking(config(clearance, sigma, n, seed))
+        assert report.success_rate == expected / n
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
