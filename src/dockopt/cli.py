@@ -19,9 +19,10 @@ names: ``problem.weights`` (WeightVector), ``problem.x_init``,
 (ObjectiveCoefficients), ``solver`` (SolverSettings) and
 ``simulation.geometry`` (DockGeometry).  ``solve`` and ``sweep`` run one
 barrier solve per weight vector from the problem's ``x_init``, so
-``solver`` sets only the Latin-hypercube starts of ``calibrate``
-(``multistart_count`` and ``seed``) and the default seed of ``simulate``
-and ``check-gradients``; the barrier schedule and tolerances are fixed.
+``solver`` sets only the Latin-hypercube starts of ``calibrate`` (at
+most ``multistart_count``, drawn from ``seed``) and the default seed of
+``simulate`` and ``check-gradients``; the barrier schedule and tolerances
+are fixed.
 Integer fields take integral values only (``3`` or ``3.0``).  Every bad
 value, an unknown key included, is a configuration error naming its path,
 raised before any work starts.
@@ -39,8 +40,8 @@ configuration error too, found from the bounds and constraints alone
 when the config loads (``solver.interior_anchor``), so ``calibrate``
 reports it without importing scipy.
 
-Only ``calibrate`` imports scipy (scipy.optimize and scipy.stats, once
-it starts), and only ``calibrate``, ``simulate`` and ``check-gradients``
+Only ``calibrate`` imports scipy (scipy.optimize alone, once it starts),
+and only ``calibrate``, ``simulate`` and ``check-gradients``
 import numpy; ``solve`` and ``sweep`` run on plain floats and load
 neither.  ``python -m dockopt`` runs this front end from
 a checkout with ``src`` on PYTHONPATH.

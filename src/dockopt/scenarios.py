@@ -16,9 +16,9 @@ Nelder-Mead over log-coefficients, with one coefficient per surrogate
 pinned at 1 to remove the normalization null direction.
 
 ``calibrate`` is the only code here that loads scipy (``scipy.optimize``
-through ``minimize``, and ``scipy.stats`` through the solver's
-Latin-hypercube starts) and numpy, each on its first call; importing this
-module loads neither.
+alone, through ``minimize``) and numpy, each on its first call; the
+solver draws its Latin-hypercube starts with numpy and never loads
+``scipy.stats``.  Importing this module loads neither.
 """
 
 from __future__ import annotations

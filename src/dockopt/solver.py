@@ -55,13 +55,17 @@ overflow; the direction is then -g.
 
 So one solve from any start reaches the optimum, and ``solve`` is the
 solver.  ``multi_start_solve`` runs it from Latin-hypercube start points
-(deterministic in the seed) and returns the first converged run.  It
-remains because calibration uses it: the reference coefficients and the
-calibration goldens were fitted with it, and the benchmark re-solves with
-it.  Its sampler is this module's attribute ``qmc``
-(``scipy.stats.qmc``), which imports scipy.stats on first access, so
-importing this module and calling ``solve`` load neither scipy nor
-numpy.
+(deterministic in the seed), one start at a time, and stops at the first
+run that converged.  It remains because calibration uses it: the
+reference coefficients and the calibration goldens were fitted with it,
+and the benchmark re-solves with it.  Its starts come from
+``latin_hypercube``, numpy's generator driven exactly as
+``scipy.stats.qmc.LatinHypercube`` drives it, so they are the points
+those fits used, bit for bit, without loading scipy.stats.  The module
+attribute ``qmc`` (scipy.stats.qmc, imported on first access) is no
+longer used here; it stays only because bench/tracing.py reads and
+restores it.  Importing this module and calling ``solve`` load neither
+scipy nor numpy.
 
 The solve loop works on plain Python floats: points, gradients and
 directions are lists of 5 floats and the Hessian is its 5 diagonal
@@ -86,8 +90,7 @@ from math import log, log1p
 
 from .domain import DesignBounds, DesignVector, WeightVector, check_integer
 # gradient_at and total_cost_arrays are not called here, but stay names of
-# this module: bench/tracing.py wraps them by name, and replaces ``qmc``
-# (see __getattr__).
+# this module: bench/tracing.py wraps them by name.
 from .objective import (ObjectiveCoefficients, ObjectiveValues,
                         cost_constants, gradient_at, total_cost,
                         total_cost_arrays)
@@ -112,8 +115,9 @@ _MARGIN = 1e-3  # range-relative clip of a start point inside the box
 
 def __getattr__(name: str):
     """``qmc`` is ``scipy.stats.qmc``, imported on first access and then
-    kept as a module global (PEP 562): scipy.stats takes longer to import
-    than a solve takes to run, and only ``multi_start_solve`` needs it."""
+    kept as a module global (PEP 562).  Nothing in dockopt uses it: it
+    stays only because bench/tracing.py reads ``qmc`` and restores it after
+    a traced run."""
     if name == "qmc":
         from scipy.stats import qmc
         globals()["qmc"] = qmc
@@ -148,8 +152,8 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Multi-start controls: the number of Latin-hypercube starts and
-    their seed."""
+    """Multi-start controls: the most Latin-hypercube starts a solve runs
+    (it stops at the first that converges) and their seed."""
 
     multistart_count: int = 16
     seed: int = 0
@@ -555,19 +559,38 @@ def solve(w: WeightVector, coeff: ObjectiveCoefficients, bounds: DesignBounds,
     return _solve_from_z(problem, z0)
 
 
+def latin_hypercube(n: int, seed: int) -> list[list[float]]:
+    """n Latin-hypercube points in (0, 1]^5, equal bit for bit to
+    ``scipy.stats.qmc.LatinHypercube(d=5, seed=seed).random(n)``: its
+    ``_random_lhs`` with the same draws from the same generator."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(size=(n, 5))
+    perms = np.tile(np.arange(1, n + 1), (5, 1))
+    for row in perms:
+        rng.shuffle(row)
+    return ((perms.T - u) / n).tolist()
+
+
 def multi_start_solve(w: WeightVector, coeff: ObjectiveCoefficients,
                       bounds: DesignBounds, cons: ConstraintSet,
                       settings: SolverSettings = SolverSettings()) -> SolveResult:
-    """Run the solver from every Latin-hypercube start point and return the
-    first run that converged, or else the first run.
+    """Run the solver from the Latin-hypercube start points in turn and
+    return the first run that converged, or else the first run.
 
-    The problem is convex, so converged starts agree on the optimum.  The
-    sampler is read as the module attribute ``qmc`` on every call, so a
-    replacement set on the module is used.
+    The problem is convex, so converged starts agree on the optimum, and
+    the starts after the first converged one are not run.  The starts are
+    ``latin_hypercube(settings.multistart_count, settings.seed)``, the
+    points scipy's sampler gives for the same seed.  The module's ``qmc``
+    is not read; it stays only for bench/tracing.py (see ``__getattr__``).
     """
     problem = _BarrierProblem(w, coeff, bounds, cons)
-    qmc = globals().get("qmc") or __getattr__("qmc")
-    sampler = qmc.LatinHypercube(d=5, seed=settings.seed)
-    starts = sampler.random(settings.multistart_count).tolist()
-    results = [_solve_from_z(problem, z) for z in starts]
-    return next((r for r in results if r.converged), results[0])
+    first = None
+    for z in latin_hypercube(settings.multistart_count, settings.seed):
+        result = _solve_from_z(problem, z)
+        if result.converged:
+            return result
+        if first is None:
+            first = result
+    return first

@@ -2,9 +2,10 @@
 replaces.
 
 scipy takes far longer to import than a solve takes to run, so only
-calibration loads it, and numpy loads only on the array paths.  The
-import checks run ``python -X importtime`` in a fresh interpreter and read
-the modules it logs, so they assert what is loaded, not how long it takes.
+calibration loads it (``scipy.optimize``, never ``scipy.stats``), and numpy
+loads only on the array paths.  The import checks run ``python -X
+importtime`` in a fresh interpreter and read the modules it logs, so they
+assert what is loaded, not how long it takes.
 """
 
 import os
@@ -12,13 +13,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import dockopt.scenarios
 import dockopt.solver
 from dockopt import (ObjectiveCoefficients, SolverSettings, calibrate,
-                     multi_start_solve, scenario_by_name)
+                     scenario_by_name)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -69,7 +71,9 @@ def test_calibrate_loads_scipy_on_first_use(tmp_path):
     code, modules = imported_modules(tmp_path, "-m", "dockopt", "calibrate",
                                      cfg, "--budget", "1")
     assert code == 0
-    assert {"scipy.optimize", "scipy.stats"} <= modules
+    assert "scipy.optimize" in modules
+    # the solver draws its Latin-hypercube starts with numpy alone
+    assert "scipy.stats" not in modules
 
 
 def test_float_only_bulk_cost_loads_no_numpy(tmp_path):
@@ -106,30 +110,14 @@ def test_qmc_resolves_to_scipy_stats_qmc():
         dockopt.solver.no_such_name  # noqa: B018
 
 
-def test_multi_start_draws_its_starts_through_the_module_qmc(monkeypatch):
-    calls = []
-    base = dockopt.solver.qmc.LatinHypercube
+def test_latin_hypercube_equals_scipy_qmc_bit_for_bit():
+    from scipy.stats import qmc as scipy_qmc
 
-    class RecordingLatinHypercube(base):
-        def __init__(self, *args, **kwargs):
-            calls.append(("init", kwargs))
-            super().__init__(*args, **kwargs)
-
-        def random(self, n=1, **kwargs):
-            calls.append(("random", n))
-            return super().random(n, **kwargs)
-
-    class StandIn:
-        LatinHypercube = RecordingLatinHypercube
-
-    scenario = scenario_by_name("general")
-    settings = SolverSettings(multistart_count=3, seed=7)
-    args = (scenario.weights, ObjectiveCoefficients(), scenario.bounds,
-            scenario.constraints, settings)
-    expected = multi_start_solve(*args)
-    monkeypatch.setattr(dockopt.solver, "qmc", StandIn)
-    assert repr(multi_start_solve(*args)) == repr(expected)
-    assert calls == [("init", {"d": 5, "seed": 7}), ("random", 3)]
+    for seed in [*range(200), 2**31 - 1, 2**32 + 5, 2**63 + 11, 10**30]:
+        for n in (1, 2, 3, 4, 16, 17, 100):
+            expected = scipy_qmc.LatinHypercube(d=5, seed=seed).random(n)
+            starts = np.array(dockopt.solver.latin_hypercube(n, seed))
+            assert starts.tobytes() == expected.tobytes(), (n, seed)
 
 
 def test_calibrate_calls_the_module_minimize(monkeypatch):

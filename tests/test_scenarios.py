@@ -158,6 +158,16 @@ class TestReferenceCoefficients:
                         assert a < b
 
 
+def test_reference_coefficients_regenerate_by_recipe():
+    # the recipe in the reference_coefficients docstring, run as written
+    fitted = calibrate(scenario_by_name("general"), ObjectiveCoefficients(),
+                       budget=2500,
+                       settings=SolverSettings(multistart_count=4, seed=0))
+    shipped = reference_coefficients()
+    for name in FREE_COEFFICIENTS:
+        assert getattr(fitted.coefficients, name) == getattr(shipped, name)
+
+
 # Frozen output of the budget-150 calibration recipe above.
 GOLDEN_150_RESIDUAL = 1.115640024995412
 GOLDEN_150_COEFFICIENTS = {

@@ -187,12 +187,15 @@ class TestMultiStart:
         again = multi_start_solve(W1111, ONES, BOUNDS, CONS, settings)
         assert first.x_star.as_tuple() == again.x_star.as_tuple()
 
-    @pytest.mark.parametrize("statuses, winner", [
-        ("ICC", 1),  # the first converged start, though start 2 has lower J
-        ("III", 0),  # no start converged: the first start
+    @pytest.mark.parametrize("statuses, winner, runs_made", [
+        # the first converged start, though start 2 would have lower J
+        pytest.param("ICC", 1, 2, id="ICC-1"),
+        # no start converged: every start runs, the first is returned
+        pytest.param("III", 0, 3, id="III-0"),
+        pytest.param("CII", 0, 1, id="CII-0"),
     ])
     def test_winner_is_first_converged_start(self, monkeypatch, statuses,
-                                             winner):
+                                             winner, runs_made):
         base = solve(W1111, ONES, BOUNDS, CONS, DEFAULT_X_INIT)
         runs = []
 
@@ -208,7 +211,7 @@ class TestMultiStart:
         monkeypatch.setattr(dockopt.solver, "_solve_from_z", fake_run)
         settings = SolverSettings(multistart_count=len(statuses), seed=0)
         result = multi_start_solve(W1111, ONES, BOUNDS, CONS, settings)
-        assert len(runs) == len(statuses)  # every start still runs
+        assert len(runs) == runs_made  # no start runs after a converged one
         assert result is runs[winner]
 
     def test_builtin_scenarios_agree_across_starts(self):
