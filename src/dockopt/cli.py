@@ -30,10 +30,11 @@ The environment variable ``DOCKOPT_SEED`` (integer) overrides every
 configured seed.
 
 Each JSON record is its result dataclass's fields (a SolveResult, its
-barrier trace ``outer_trace`` included; a CalibrationResult; a
-SimulationReport) plus the run's ``scenario``, ``weights``, ``target`` or
-``closed_form``.  The sweep CSV's columns are the WeightVector,
-DesignVector and ObjectiveValues fields, then the status.
+packed barrier trace ``outer_trace`` written as a list of BarrierStage
+records; a CalibrationResult; a SimulationReport) plus the run's
+``scenario``, ``weights``, ``target`` or ``closed_form``.  The sweep
+CSV's columns are the WeightVector, DesignVector and ObjectiveValues
+fields, then the status.
 
 Bounds and constraints that leave no strictly feasible design are a
 configuration error too, found from the bounds and constraints alone
@@ -285,6 +286,7 @@ def _fmt(value: float) -> str:
 
 def _result_record(result: SolveResult, weights: WeightVector) -> dict:
     return {**asdict(result), "weights": asdict(weights),
+            "outer_trace": [asdict(stage) for stage in result.outer_trace],
             "constraint_values": dict(zip(("volume", "tolerance_ratio"),
                                           result.constraint_values)),
             "status": result.status.value}

@@ -1,11 +1,12 @@
-"""Shared test oracles: brute-force grid search, numerical quadrature and
-a numpy reference of the solver's barrier.
+"""Shared test oracles: brute-force grid search, an exact reduced solve,
+numerical quadrature and a numpy reference of the solver's barrier.
 
 These deliberately avoid the solver's machinery: the grid oracle scans an
-exhaustive feasible lattice for the lowest cost, the quadrature oracle
-integrates sin(phi) numerically instead of using the closed form, and the
-reference barrier evaluates the value, gradient and Hessian with numpy
-arrays instead of the solver's plain-float code.
+exhaustive feasible lattice for the lowest cost, the exact oracle bisects
+the derivative of the cost reduced to the frontal area, the quadrature
+oracle integrates sin(phi) numerically instead of using the closed form,
+and the reference barrier evaluates the value, gradient and Hessian with
+numpy arrays instead of the solver's plain-float code.
 """
 
 import functools
@@ -37,6 +38,63 @@ def grid_min_cost(w: WeightVector, coeff: ObjectiveCoefficients,
                                  w, coeff)
         best = min(best, float(np.min(np.where(feasible, cost, np.inf))))
     return best
+
+
+def exact_min_cost(w: WeightVector, coeff: ObjectiveCoefficients,
+                   bounds: DesignBounds, cons: ConstraintSet) -> float:
+    """Lowest J over the feasible set, by a global bisection on the
+    derivative of J reduced to A.
+
+    J = sum(q_i*x_i**2 - b_i*x_i), with q and b read off the surrogate
+    formulas, is separable: u and e minimise alone at clip(b/2q, box).  For
+    a fixed A, l*(A) = clip(l_free, max(l_lo, V/A), l_hi) and eta*(A) =
+    clip(eta_free, max(eta_lo, R*A), eta_hi), and phi(A) = J(A, l*(A), u*,
+    e*, eta*(A)) is convex on [max(A_lo, V/l_hi), min(A_hi, eta_hi/R)]
+    (partial minimisation of a convex problem), so phi' changes sign once.
+    phi' includes the coupling of l (or eta) to A only where the free
+    minimiser lies on the constraint's side of its floor V/A (or R*A).
+    """
+    c, V, R = coeff, cons.volume_min, cons.tolerance_ratio_min
+    sum_h, sum_c = c.kA + c.kl, c.ku + c.ke + c.k_eta
+    sum_d, sum_v = c.au + c.ae + c.a_eta, c.bA + c.bl + c.bu
+    q = [w.p * c.kA / (c.A_max**2 * sum_h), w.p * c.kl / (c.l_max**2 * sum_h),
+         w.q * c.ku / sum_c, w.q * c.ke / sum_c, w.q * c.k_eta / sum_c]
+    b = [w.s * c.bA / (c.A_max * sum_v), w.s * c.bl / (c.l_max * sum_v),
+         w.r * c.au / sum_d + w.s * c.bu / sum_v, w.r * c.ae / sum_d,
+         w.r * c.a_eta / sum_d]
+    free = [bi / (2.0 * qi) if qi > 0.0 else math.inf for qi, bi in zip(q, b)]
+    lo, hi = bounds.lower.as_tuple(), bounds.upper.as_tuple()
+
+    def clip(value, low, high):
+        return min(max(value, low), high)
+
+    def design(A):
+        return (A, clip(free[1], max(lo[1], V / A), hi[1]),
+                clip(free[2], lo[2], hi[2]), clip(free[3], lo[3], hi[3]),
+                clip(free[4], max(lo[4], R * A), hi[4]))
+
+    def slope(A):
+        # inside the interval the floors V/A and R*A are <= l_hi and eta_hi
+        value = 2.0 * q[0] * A - b[0]
+        if V / A > lo[1] and free[1] < V / A:
+            value -= (2.0 * q[1] * (V / A) - b[1]) * V / (A * A)
+        if R * A > lo[4] and free[4] < R * A:
+            value += (2.0 * q[4] * (R * A) - b[4]) * R
+        return value
+
+    left = max(lo[0], V / hi[1])
+    right = min(hi[0], hi[4] / R) if R > 0.0 else hi[0]
+    if slope(left) >= 0.0:
+        right = left
+    elif slope(right) <= 0.0:
+        left = right
+    while left < (mid := 0.5 * (left + right)) < right:
+        if slope(mid) > 0.0:
+            right = mid
+        else:
+            left = mid
+    return min(float(total_cost_arrays(*design(A), w, coeff))
+               for A in (left, right))
 
 
 def grid_resolution_slack(w: WeightVector, coeff: ObjectiveCoefficients,

@@ -2,8 +2,8 @@
 ``dockopt.objective`` bit for bit and against the numpy reference, its
 interior test, the Hessian at an evaluated point against the one rebuilt
 from z and against central differences, the arrowhead Newton solve's
-backward error, the steepest-descent fallback and the repair to a
-strictly feasible start."""
+backward error, the steepest-descent fallback, the repair to a
+strictly feasible start, and whole solves against an exact oracle."""
 
 import math
 
@@ -13,13 +13,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dockopt import (ConstraintSet, DesignBounds, DesignVector,
-                     ObjectiveCoefficients, WeightVector, default_bounds)
+                     ObjectiveCoefficients, SolverStatus, WeightVector,
+                     default_bounds, solve)
 from dockopt.objective import gradient_at, total_cost_arrays
 from dockopt.solver import (_MARGIN, InfeasibleProblemError,
                             _arrowhead_solve, _BarrierProblem, _line_search,
                             _newton_direction, _repair_to_interior,
                             interior_anchor)
-from helpers import ReferenceBarrier
+from helpers import ReferenceBarrier, exact_min_cost
 
 EPS = np.finfo(float).eps
 
@@ -364,3 +365,20 @@ def test_interior_anchor_needs_only_bounds_and_constraints(bounds, a, b):
     else:
         assert interior_anchor(bounds, cons) == expected
         assert _interior(problem, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights, coefficients, instances(clipped_points))
+def test_solve_converges_to_the_exact_optimum(w, coeff, instance):
+    # a solve whose best barrier stage misses the KKT tolerance was
+    # finished by the polish, which solves the reduced problem exactly
+    bounds, cons, z = instance
+    x_init = DesignVector(*(lo + zi * (hi - lo) for lo, hi, zi in zip(
+        bounds.lower.as_tuple(), bounds.upper.as_tuple(), z)))
+    result = solve(w, coeff, bounds, cons, x_init)
+    assert result.status is SolverStatus.Converged
+    J, best = result.objective.J, exact_min_cost(w, coeff, bounds, cons)
+    scale = max(1.0, abs(J))
+    assert abs(J - best) <= 1e-6 * scale
+    if min(max(s.stationarity, s.mu) for s in result.outer_trace) > 1e-8:
+        assert abs(J - best) <= 1e-12 * scale

@@ -1,7 +1,11 @@
 """Interior-point solver: barrier construction, convergence, oracles."""
 
+import copy
+import gc
 import math
-from dataclasses import fields, replace
+import pickle
+import tracemalloc
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from dockopt import (ConstraintSet, DesignVector, ObjectiveCoefficients,
                      barrier_objective, default_bounds, multi_start_solve,
                      reference_coefficients, solve, total_cost)
 from dockopt.scenarios import DEFAULT_X_INIT, builtin_scenarios
-from dockopt.solver import InfeasibleProblemError
+from dockopt.solver import BarrierStage, BarrierTrace, InfeasibleProblemError
 from helpers import grid_min_cost, grid_resolution_slack
 
 ONES = ObjectiveCoefficients()
@@ -163,11 +167,26 @@ class TestSolve:
         assert "u_upper" in result.active_set
 
     def test_strongly_active_bound_reports_honest_residual(self):
-        # multipliers near 1 put the f64 slack-quantization floor above
-        # the 1e-8 tolerance: the solver must report that, not fake it
+        # multipliers near 1 put the f64 slack-quantization floor of the
+        # barrier above the 1e-8 tolerance; the polish then solves the
+        # reduced problem exactly and reports the true KKT residual there
         w = WeightVector(0.01, 0.01, 5.0, 0.01)
         result = solve(w, ONES, BOUNDS, CONS, DEFAULT_X_INIT)
-        assert result.status is not SolverStatus.Converged
+        assert result.status is SolverStatus.Converged
+        assert np.max(np.abs(np.array(result.x_star.as_tuple())
+                             - (1 / 3, 1.0, 1.0, 0.855, 1.0))) <= 1e-12
+        assert result.kkt_residual <= 1e-8
+        assert {"u_upper", "e_upper", "eta_upper"} <= set(result.active_set)
+
+    def test_rejected_polish_reports_the_stalled_residual(self,
+                                                          monkeypatch):
+        # a polish that fails verification leaves the barrier's answer,
+        # with its residual above the tolerance, as it was
+        monkeypatch.setattr(dockopt.solver, "_polish",
+                            lambda *args, **kwargs: None)
+        w = WeightVector(0.01, 0.01, 5.0, 0.01)
+        result = solve(w, ONES, BOUNDS, CONS, DEFAULT_X_INIT)
+        assert result.status is SolverStatus.IterationLimit
         assert 1e-8 < result.kkt_residual < 1e-6
         assert "u_upper" in result.active_set
 
@@ -178,6 +197,49 @@ class TestSolve:
             costs = [stage.cost for stage in result.outer_trace]
             drops = sum(1 for a, b in zip(costs, costs[1:]) if b <= a + 1e-10)
             assert drops >= 0.95 * (len(costs) - 1)
+
+
+def test_barrier_trace_is_an_immutable_sequence_of_stages():
+    result = solve(W1111, ONES, BOUNDS, CONS, DEFAULT_X_INIT)
+    trace = result.outer_trace
+    stages = list(trace)
+    assert len(trace) == len(stages) > 2
+    assert all(isinstance(stage, BarrierStage) for stage in stages)
+    assert [trace[i] for i in range(-len(trace), len(trace))] \
+        == stages + stages
+    values = [v for stage in stages for v in astuple(stage)]
+    assert trace == BarrierTrace(values)
+    assert hash(trace) == hash(BarrierTrace(values))
+    assert trace[1:3] == BarrierTrace(values[4:12])
+    assert list(trace[::-1]) == stages[::-1]
+    assert trace != BarrierTrace(values[:-4])
+    assert pickle.loads(pickle.dumps(result)) == result
+    assert copy.deepcopy(trace) is trace
+    with pytest.raises(IndexError):
+        trace[len(trace)]
+    with pytest.raises(AttributeError):
+        trace._data = None
+
+
+def test_kept_solve_results_stay_small():
+    # Bytes one SolveResult keeps alive, by tracemalloc (deterministic, not
+    # timed), averaged over 50 solves of a weight sweep.  Measured 2,126 B
+    # with the trace as a tuple of BarrierStage objects, 1,133 B packed.
+    coeff = reference_coefficients()
+    weights = [WeightVector(0.5 + 0.04 * i, 1.0 + 0.02 * i, 2.5 - 0.04 * i,
+                            1.5) for i in range(50)]
+    solve(weights[0], coeff, BOUNDS, CONS, DEFAULT_X_INIT)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [solve(w, coeff, BOUNDS, CONS, DEFAULT_X_INIT)
+                for w in weights]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / len(kept) <= 1200
 
 
 class TestMultiStart:
