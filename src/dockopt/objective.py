@@ -14,34 +14,37 @@ coefficients are exposed for calibration; the convex-combination form
 keeps every score inside [0, 1] on any design within the normalizers.
 
 The helpers suffixed ``_terms``/``_arrays`` accept numpy arrays for
-vectorized evaluation over design grids.  ``cost_constants`` computes once
-per (weights, coefficients) the scalar constants of J and its gradient,
-each the same expression in the same evaluation order as in
-``objective_terms``/``total_cost_arrays``/``gradient_at``, so scalar code
-built on them (the solver's barrier kernel) reproduces those functions'
-floats bit for bit.
+vectorized evaluation over design grids.  ``objective_terms`` gives the
+four scores, and ``total_cost`` reports them with J.  Expanded, J is the
+separable quadratic sum((q_i*x_i - b_i)*x_i) over x = (A, l, u, e, eta),
+whose 10 constants ``quadratic_form`` computes once per (weights,
+coefficients).  ``total_cost_arrays``, ``gradient_at`` (2q*x - b) and the
+solver's barrier kernel are built on them, each as the same expressions
+in the same order, so the kernel's J and gradient are those functions'
+floats bit for bit.  The J of ``total_cost`` sums the four scores, so it
+may differ from them in the last bits.
 
 ``total_cost_arrays`` on large arrays is limited by memory traffic, not
-arithmetic: the expression makes about 30 temporaries of the inputs'
-length.  So inputs of more than ``_BLOCK`` elements are evaluated in
-blocks of ``_BLOCK`` (``numpy.nditer``, buffered) into one output, and
-the temporaries of a block stay in cache.  Every element goes through the
-same operations as in one pass, so the result is the same floats; inputs
-of at most ``_BLOCK`` elements, floats and the solver's 5-element calls
-included, take the one-pass expression.  Only ``gradient_at`` and the
-blocked path import numpy.
+arithmetic.  So inputs of more than ``_BLOCK`` elements are evaluated in
+blocks of ``_BLOCK`` (``numpy.nditer``, buffered) into one output: each
+term of a block is computed in place, in the output or in one
+block-sized scratch buffer, and added into the output, so the work stays
+in cache and nothing of the inputs' length is allocated but the output.
+Every element goes through the same operations as in one pass, so the
+result is the same floats.  Inputs of at most ``_BLOCK`` elements, floats
+included, take the one-pass expression, and so do arrays whose terms
+differ in dtype.  Only ``gradient_at`` and the blocked path import numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 from .domain import DesignVector, WeightVector
 
-# Elements per block of the bulk path of total_cost_arrays: each of its
-# ~30 temporaries then takes 128 KiB and stays in cache.
+# Elements per block of the bulk path of total_cost_arrays: a float64 block
+# of the output and the scratch buffer take 128 KiB each and stay in cache.
 _BLOCK = 16_384
 
 
@@ -158,18 +161,46 @@ def objective_terms(A, l, u, e, eta, coeff: ObjectiveCoefficients):
     return h, c, d, v
 
 
+def quadratic_form(w: WeightVector, coeff: ObjectiveCoefficients,
+                   ) -> tuple[tuple[float, ...], tuple[float, ...],
+                              tuple[float, ...]]:
+    """J as the separable quadratic ``sum((q_i*x_i - b_i)*x_i)`` over
+    x = (A, l, u, e, eta): returns q, 2q and b.
+
+    Expanding p h + q c - r d - s v gives q = (p kA/(A_max^2 sum_h),
+    p kl/(l_max^2 sum_h), q ku/sum_c, q ke/sum_c, q k_eta/sum_c) and
+    b = (s bA/(A_max sum_v), s bl/(l_max sum_v), r au/sum_d + s bu/sum_v,
+    r ae/sum_d, r a_eta/sum_d), the sums being the surrogates'
+    denominators.  dJ/dx_i = 2q_i*x_i - b_i."""
+    c = coeff
+    sum_h = c.kA + c.kl
+    sum_c = c.ku + c.ke + c.k_eta
+    sum_d = c.au + c.ae + c.a_eta
+    sum_v = c.bA + c.bl + c.bu
+    q = (w.p * c.kA / (c.A_max**2 * sum_h), w.p * c.kl / (c.l_max**2 * sum_h),
+         w.q * c.ku / sum_c, w.q * c.ke / sum_c, w.q * c.k_eta / sum_c)
+    b = (w.s * c.bA / (c.A_max * sum_v), w.s * c.bl / (c.l_max * sum_v),
+         w.r * c.au / sum_d + w.s * c.bu / sum_v, w.r * c.ae / sum_d,
+         w.r * c.a_eta / sum_d)
+    return q, tuple(2.0 * qi for qi in q), b
+
+
 def total_cost_arrays(A, l, u, e, eta, w: WeightVector,
                       coeff: ObjectiveCoefficients):
-    """Vectorized J = p h + q c - r d - s v.
+    """Vectorized J = sum((q_i*x_i - b_i)*x_i) (see ``quadratic_form``).
 
     Inputs of at most ``_BLOCK`` elements each, floats included, are
     evaluated in one pass.  Larger arrays are evaluated in blocks of
     ``_BLOCK`` elements into one output, with the same operations on every
     element, so the result is the one-pass result bit for bit, in its
-    dtype and broadcast shape."""
+    dtype and broadcast shape.  Arrays whose terms would differ in dtype
+    (float32 beside float64, say) take the one pass whatever their size:
+    a partial sum of theirs is rounded to a dtype the output does not
+    have."""
+    q, _, b = quadratic_form(w, coeff)
     inputs = (A, l, u, e, eta)
     if max(getattr(x, "size", 1) for x in inputs) <= _BLOCK:
-        return _total_cost(A, l, u, e, eta, w, coeff)
+        return _total_cost(*inputs, q, b)
 
     import numpy as np
 
@@ -180,100 +211,65 @@ def total_cost_arrays(A, l, u, e, eta, w: WeightVector,
     empty = list(inputs)
     for i in blocked:
         empty[i] = np.empty(0, inputs[i].dtype)
-    dtype = _total_cost(*empty, w, coeff).dtype
+    dtype = _total_cost(*empty, q, b).dtype
+    if any(np.result_type(inputs[i], 1.0) != dtype for i in blocked):
+        return _total_cost(*inputs, q, b)
     it = np.nditer([inputs[i] for i in blocked] + [None],
                    flags=["external_loop", "buffered", "zerosize_ok"],
                    op_flags=[["readonly"]] * len(blocked)
                    + [["writeonly", "allocate"]],
                    op_dtypes=[None] * len(blocked) + [dtype],
                    buffersize=_BLOCK)
+    scratch = np.empty(_BLOCK, dtype)
     args = list(inputs)
     with it:
         for *chunks, out in it:
             for i, chunk in zip(blocked, chunks):
                 args[i] = chunk
-            out[...] = _total_cost(*args, w, coeff)
+            _total_cost_into(out, scratch[:out.size], args, blocked, q, b)
         return it.operands[-1]
 
 
-def _total_cost(A, l, u, e, eta, w: WeightVector,
-                coeff: ObjectiveCoefficients):
-    h, c, d, v = objective_terms(A, l, u, e, eta, coeff)
-    return w.p * h + w.q * c - w.r * d - w.s * v
+def _total_cost(A, l, u, e, eta, q, b):
+    return ((q[0] * A - b[0]) * A + (q[1] * l - b[1]) * l
+            + (q[2] * u - b[2]) * u + (q[3] * e - b[3]) * e
+            + (q[4] * eta - b[4]) * eta)
 
 
-class CostConstants(NamedTuple):
-    """Scalar constants of J and its gradient for one (weights,
-    coefficients) pair; see ``cost_constants``."""
+def _total_cost_into(out, scratch, args, blocked, q, b) -> None:
+    """One block of ``_total_cost`` written into ``out``.  The term of each
+    blocked input is computed in place, in ``out`` (the first) or in
+    ``scratch``, and added into ``out`` in the one-pass order; the terms of
+    scalars before the first of them are summed as scalars, as in one pass.
+    """
+    import numpy as np
 
-    # J: normalizers, coefficients, the surrogates' denominators, weights
-    A_max: float
-    l_max: float
-    kA: float
-    kl: float
-    ku: float
-    ke: float
-    k_eta: float
-    au: float
-    ae: float
-    a_eta: float
-    bA: float
-    bl: float
-    bu: float
-    sum_h: float
-    sum_c: float
-    sum_d: float
-    sum_v: float
-    p: float
-    q: float
-    r: float
-    s: float
-    # dJ/dA = slope_A * A / curv_A - lin_A, and likewise for l
-    slope_A: float
-    curv_A: float
-    lin_A: float
-    slope_l: float
-    curv_l: float
-    lin_l: float
-    # dJ/du = slope_u * u / sum_c - rel_u - ver_u; e and eta have no ver_
-    slope_u: float
-    rel_u: float
-    ver_u: float
-    slope_e: float
-    rel_e: float
-    slope_eta: float
-    rel_eta: float
-
-
-def cost_constants(w: WeightVector,
-                   coeff: ObjectiveCoefficients) -> CostConstants:
-    """The constants that ``objective_terms``, ``total_cost_arrays`` and
-    ``gradient_at`` evaluate on every call, computed once."""
-    c = coeff
-    sum_h = c.kA + c.kl
-    sum_c = c.ku + c.ke + c.k_eta
-    sum_d = c.au + c.ae + c.a_eta
-    sum_v = c.bA + c.bl + c.bu
-    return CostConstants(
-        c.A_max, c.l_max, c.kA, c.kl, c.ku, c.ke, c.k_eta, c.au, c.ae,
-        c.a_eta, c.bA, c.bl, c.bu, sum_h, sum_c, sum_d, sum_v,
-        w.p, w.q, w.r, w.s,
-        w.p * 2.0 * c.kA, c.A_max**2 * sum_h, w.s * c.bA / (c.A_max * sum_v),
-        w.p * 2.0 * c.kl, c.l_max**2 * sum_h, w.s * c.bl / (c.l_max * sum_v),
-        w.q * 2.0 * c.ku, w.r * c.au / sum_d, w.s * c.bu / sum_v,
-        w.q * 2.0 * c.ke, w.r * c.ae / sum_d,
-        w.q * 2.0 * c.k_eta, w.r * c.a_eta / sum_d)
+    total = None
+    for k, (x, qk, bk) in enumerate(zip(args, q, b)):
+        if k in blocked:
+            t = scratch if total is out else out
+            np.multiply(qk, x, out=t)
+            t -= bk
+            t *= x
+        else:
+            t = (qk * x - bk) * x
+        if total is None:
+            total = t
+        elif total is out:
+            out += t
+        elif t is out:
+            out += total  # total + t; addition commutes
+            total = out
+        else:
+            total = total + t
 
 
 def gradient_at(A, l, u, e, eta, w: WeightVector,
                 coeff: ObjectiveCoefficients) -> np.ndarray:
-    """Gradient of J at raw component values (vectorized over the last axis)."""
+    """Gradient of J at raw component values (vectorized over the last
+    axis): 2q*x - b."""
     import numpy as np
 
-    k = cost_constants(w, coeff)
-    dA = k.slope_A * A / k.curv_A - k.lin_A
-    dl = k.slope_l * l / k.curv_l - k.lin_l
-    du = k.slope_u * u / k.sum_c - k.rel_u - k.ver_u
-    de = k.slope_e * e / k.sum_c - k.rel_e
-    deta = k.slope_eta * eta / k.sum_c - k.rel_eta
-    return np.array([dA, dl, du, de, deta], dtype=float)
+    _, q2, b = quadratic_form(w, coeff)
+    return np.array([q2[0] * A - b[0], q2[1] * l - b[1], q2[2] * u - b[2],
+                     q2[3] * e - b[3], q2[4] * eta - b[4]], dtype=float)

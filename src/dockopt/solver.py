@@ -26,7 +26,10 @@ no step makes progress (the line search finds none, or the accepted one
 leaves z in place).  First-order optimality is measured with primal
 multiplier estimates lambda_i = mu / slack_i; the reported KKT residual is
 max(stationarity, mu), mu being the complementarity gap the barrier
-leaves against the original problem.
+leaves against the original problem.  Once the best residual so far is at
+most 1e-4, a stage whose residual is above ten times the best ends the
+continuation: refinement is exhausted, and the best stage is reported, or
+polished as below.
 
 A solve is Converged when a barrier stage's residual is at most 1e-8, or
 when a verified polish finishes it.  Float64 quantisation of z next to
@@ -99,10 +102,11 @@ arithmetic.  Each trial point is evaluated once, in one fused pass
 (``_BarrierProblem.evaluate``): it rejects a point that is not strictly
 interior, then computes x, g1, g2, J, the barrier value and its gradient,
 and keeps A, l, eta, g1 and g2 so that the Hessian at an accepted point
-reuses them.  J and its gradient are built on
-``dockopt.objective.cost_constants``, computed once per problem, with the
-operations, in the order, of ``total_cost_arrays`` and ``gradient_at``, so
-they are those functions' floats bit for bit.
+reuses them.  J and its gradient are built on the 10 constants of
+``dockopt.objective.quadratic_form`` (J = sum((q_i*x_i - b_i)*x_i), dJ/dx_i
+= 2q_i*x_i - b_i), computed once per problem, with the operations, in the
+order, of ``total_cost_arrays`` and ``gradient_at``, so they are those
+functions' floats bit for bit.
 """
 
 from __future__ import annotations
@@ -118,9 +122,8 @@ from math import log, log1p
 from .domain import DesignBounds, DesignVector, WeightVector, check_integer
 # gradient_at and total_cost_arrays are not called here, but stay names of
 # this module: bench/tracing.py wraps them by name.
-from .objective import (ObjectiveCoefficients, ObjectiveValues,
-                        cost_constants, gradient_at, total_cost,
-                        total_cost_arrays)
+from .objective import (ObjectiveCoefficients, ObjectiveValues, gradient_at,
+                        quadratic_form, total_cost, total_cost_arrays)
 
 _VAR_NAMES = tuple(f.name for f in fields(DesignVector))
 # The 12 inequality faces in the order of _BarrierProblem.scaled_slacks.
@@ -330,16 +333,11 @@ class _BarrierProblem:
         self.g1_scale = cons.volume_min if cons.volume_min > 0.0 else 1.0
         self.g2_scale = cons.tolerance_ratio_min if cons.tolerance_ratio_min > 0.0 else 1.0
         self.log_scales = math.log(self.g1_scale) + math.log(self.g2_scale)
-        k = self.k = cost_constants(w, coeff)
-        # J = sum(q_i*x_i - b_i)*x_i: quad holds 2q (dJ/dx_i = quad_i*x_i
-        # - lin_i) and lin holds b, read off the cost constants.
-        self.quad = (k.slope_A / k.curv_A, k.slope_l / k.curv_l,
-                     k.slope_u / k.sum_c, k.slope_e / k.sum_c,
-                     k.slope_eta / k.sum_c)
-        self.lin = (k.lin_A, k.lin_l, k.rel_u + k.ver_u, k.rel_e, k.rel_eta)
-        # Diagonal of the (separable) cost Hessian in z coordinates.
+        # J = sum((q_i*x_i - b_i)*x_i), so dJ/dx_i = q2_i*x_i - b_i with
+        # q2 = 2q, and the cost Hessian in z is diagonal: q2_i * range_i^2.
+        self.q, self.q2, self.b = quadratic_form(w, coeff)
         self.cost_hess_diag = tuple(qi * (r * r)
-                                    for qi, r in zip(self.quad, self.range))
+                                    for qi, r in zip(self.q2, self.range))
 
     def x_of_z(self, z: list[float]) -> list[float]:
         return [lo + zi * r for lo, zi, r in zip(self.lb, z, self.range)]
@@ -384,18 +382,12 @@ class _BarrierProblem:
             return None
 
         # J and dJ/dx with the operations, in the order, of
-        # objective_terms, total_cost_arrays and gradient_at.
-        (A_max, l_max, kA, kl, ku, ke, k_eta, au, ae, a_eta, bA, bl, bu,
-         sum_h, sum_c, sum_d, sum_v, p, q, r, s,
-         slope_A, curv_A, lin_A, slope_l, curv_l, lin_l,
-         slope_u, rel_u, ver_u, slope_e, rel_e, slope_eta, rel_eta) = self.k
-        An = A / A_max
-        ln = l / l_max
-        h = (kA * An**2 + kl * ln**2) / sum_h
-        c = (ku * u**2 + ke * e**2 + k_eta * eta**2) / sum_c
-        d = (au * u + ae * e + a_eta * eta) / sum_d
-        v = (bA * An + bl * ln + bu * u) / sum_v
-        cost = p * h + q * c - r * d - s * v
+        # total_cost_arrays and gradient_at.
+        q0, q1, q2, q3, q4 = self.q
+        s0, s1, s2, s3, s4 = self.q2  # dJ/dx_i = s_i*x_i - b_i
+        b0, b1, b2, b3, b4 = self.b
+        cost = ((q0 * A - b0) * A + (q1 * l - b1) * l + (q2 * u - b2) * u
+                + (q3 * e - b3) * e + (q4 * eta - b4) * eta)
 
         log_z = log(z0) + log(z1) + log(z2) + log(z3) + log(z4)
         log_1mz = log1p(-z0) + log1p(-z1) + log1p(-z2) + log1p(-z3) \
@@ -406,15 +398,13 @@ class _BarrierProblem:
         # mu/g times each constraint's gradient, summed in that order.
         c1 = mu / g1
         c2 = mu / g2
-        g = [(slope_A * A / curv_A - lin_A) * r0 - mu / z0
-             + mu / (1.0 - z0) - c1 * (l * r0) - c2 * (-eta / A**2 * r0),
-             (slope_l * l / curv_l - lin_l) * r1 - mu / z1
-             + mu / (1.0 - z1) - c1 * (A * r1),
-             (slope_u * u / sum_c - rel_u - ver_u) * r2 - mu / z2
-             + mu / (1.0 - z2),
-             (slope_e * e / sum_c - rel_e) * r3 - mu / z3 + mu / (1.0 - z3),
-             (slope_eta * eta / sum_c - rel_eta) * r4 - mu / z4
-             + mu / (1.0 - z4) - c2 * (1.0 / A * r4)]
+        g = [(s0 * A - b0) * r0 - mu / z0 + mu / (1.0 - z0)
+             - c1 * (l * r0) - c2 * (-eta / A**2 * r0),
+             (s1 * l - b1) * r1 - mu / z1 + mu / (1.0 - z1) - c1 * (A * r1),
+             (s2 * u - b2) * r2 - mu / z2 + mu / (1.0 - z2),
+             (s3 * e - b3) * r3 - mu / z3 + mu / (1.0 - z3),
+             (s4 * eta - b4) * r4 - mu / z4 + mu / (1.0 - z4)
+             - c2 * (1.0 / A * r4)]
         return z, f, g, cost, A, l, eta, g1, g2
 
     def hessian(self, point: tuple, mu: float,
@@ -634,9 +624,9 @@ def _solve_from_z(problem: _BarrierProblem, z0: list[float]) -> SolveResult:
         iterations += inner
         if residual < best_residual:
             best_residual, best_z = residual, z
-        if best_residual <= _KKT_TOLERANCE \
+        if best_residual <= _POLISH_RESIDUAL \
                 and residual > 10.0 * best_residual:
-            break  # refinement exhausted; keep the best stage
+            break  # refinement exhausted: keep, or polish, the best stage
 
     x = problem.x_of_z(best_z)
     x_star = DesignVector(*x)
@@ -666,8 +656,9 @@ def _polish(problem: _BarrierProblem, z: list[float],
     """Finish a stalled continuation with the exact optimum of the reduced
     problem, or return None if that point fails verification.
 
-    Solve, with dJ/dx_i = quad_i*x_i - lin_i (J is separable): u and e
-    minimise alone at clip(lin/quad, box); for a fixed A,
+    Solve, with dJ/dx_i = quad_i*x_i - lin_i (J is separable; quad = 2q
+    and lin = b of ``quadratic_form``): u and e minimise alone at
+    clip(lin/quad, box); for a fixed A,
     l*(A) = clip(l_free, max(l_lo, V/A), l_hi) and
     eta*(A) = clip(eta_free, max(eta_lo, R*A), eta_hi); and
     phi(A) = J(A, l*(A), u*, e*, eta*(A)) is convex on
@@ -682,7 +673,7 @@ def _polish(problem: _BarrierProblem, z: list[float],
     of those violations.
     """
     lo, hi = problem.lb, problem.bounds.upper.as_tuple()
-    quad, lin, r = problem.quad, problem.lin, problem.range
+    quad, lin, r = problem.q2, problem.b, problem.range
     V, R = problem.cons.volume_min, problem.cons.tolerance_ratio_min
     free = [b / q if q > 0.0 else math.inf if b > 0.0 else -math.inf
             for q, b in zip(quad, lin)]

@@ -1,9 +1,10 @@
-"""The solver's plain-float barrier core: the fused evaluation against
-``dockopt.objective`` bit for bit and against the numpy reference, its
-interior test, the Hessian at an evaluated point against the one rebuilt
-from z and against central differences, the arrowhead Newton solve's
-backward error, the steepest-descent fallback, the repair to a
-strictly feasible start, and whole solves against an exact oracle."""
+"""The solver's plain-float barrier core: the cost's 10-constant form
+against the surrogates, the fused evaluation against ``dockopt.objective``
+bit for bit and against the numpy reference, its interior test, the
+Hessian at an evaluated point against the one rebuilt from z and against
+central differences, the arrowhead Newton solve's backward error, the
+steepest-descent fallback, the repair to a strictly feasible start, and
+whole solves against an exact oracle."""
 
 import math
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from dockopt import (ConstraintSet, DesignBounds, DesignVector,
                      ObjectiveCoefficients, SolverStatus, WeightVector,
-                     default_bounds, solve)
+                     default_bounds, solve, total_cost)
 from dockopt.objective import gradient_at, total_cost_arrays
 from dockopt.solver import (_MARGIN, InfeasibleProblemError,
                             _arrowhead_solve, _BarrierProblem, _line_search,
@@ -160,6 +161,38 @@ def test_fused_cost_and_gradient_are_the_objective_bit_for_bit(w, coeff,
     _, value, gradient, _ = problem.evaluate(z, 0.0)[:4]
     assert value == cost
     assert gradient == grad
+
+
+def _surrogate_gradient(x, w, c):
+    """dJ/dx of J = p h + q c - r d - s v, differentiated from the
+    surrogate formulas: per component, the rising and the falling part."""
+    A, l, u, e, eta = x
+    sum_h, sum_c = c.kA + c.kl, c.ku + c.ke + c.k_eta
+    sum_d, sum_v = c.au + c.ae + c.a_eta, c.bA + c.bl + c.bu
+    return [(w.p * 2.0 * c.kA * A / (c.A_max**2 * sum_h),
+             w.s * c.bA / (c.A_max * sum_v)),
+            (w.p * 2.0 * c.kl * l / (c.l_max**2 * sum_h),
+             w.s * c.bl / (c.l_max * sum_v)),
+            (w.q * 2.0 * c.ku * u / sum_c,
+             w.r * c.au / sum_d + w.s * c.bu / sum_v),
+            (w.q * 2.0 * c.ke * e / sum_c, w.r * c.ae / sum_d),
+            (w.q * 2.0 * c.k_eta * eta / sum_c, w.r * c.a_eta / sum_d)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights, coefficients, instances())
+def test_quadratic_form_is_the_surrogates(w, coeff, instance):
+    # J and its gradient from the 10 constants of quadratic_form, against
+    # the h/c/d/v breakdown and the derivative of the surrogate formulas
+    bounds, _, z = instance
+    x = [lo + zi * (hi - lo) for lo, hi, zi in zip(
+        bounds.lower.as_tuple(), bounds.upper.as_tuple(), z)]
+    J = total_cost(DesignVector(*x), w, coeff).J
+    assert abs(float(total_cost_arrays(*x, w, coeff)) - J) \
+        <= 1e-12 * max(1.0, abs(J))
+    for gi, (rise, fall) in zip(gradient_at(*x, w, coeff).tolist(),
+                                _surrogate_gradient(x, w, coeff)):
+        assert abs(gi - (rise - fall)) <= 1e-12 * (rise + fall)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,5 +1,7 @@
 """Objective surrogates: hand-computed values, gradients, range properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from dockopt import (DesignVector, ObjectiveCoefficients, WeightVector,
                      total_cost, versatility)
 import dockopt.objective
 from dockopt.objective import (_BLOCK, gradient_at, objective_terms,
-                               total_cost_arrays)
+                               quadratic_form, total_cost_arrays)
 
 ONES = ObjectiveCoefficients()
 A_MAX, L_MAX = ONES.A_max, ONES.l_max
@@ -202,9 +204,11 @@ class TestBlockedBulkCost:
     # Python floats, so float32 inputs give a float32 J
     COEFF = ObjectiveCoefficients(*map(float, np.linspace(0.2, 2.2, 11)))
 
-    def unblocked(self, *x):
-        h, c, d, v = objective_terms(*x, self.COEFF)
-        return self.W.p * h + self.W.q * c - self.W.r * d - self.W.s * v
+    def unblocked(self, A, l, u, e, eta):
+        q, _, b = quadratic_form(self.W, self.COEFF)
+        return ((q[0] * A - b[0]) * A + (q[1] * l - b[1]) * l
+                + (q[2] * u - b[2]) * u + (q[3] * e - b[3]) * e
+                + (q[4] * eta - b[4]) * eta)
 
     def assert_same(self, *x):
         got = total_cost_arrays(*x, self.W, self.COEFF)
@@ -226,21 +230,37 @@ class TestBlockedBulkCost:
 
     def test_each_block_is_one_evaluation(self, monkeypatch):
         calls = []
-        original = dockopt.objective.objective_terms
+        original = dockopt.objective._total_cost_into
 
-        def counting(*args):
-            calls.append(np.size(args[0]))
-            return original(*args)
+        def counting(out, scratch, args, *rest):
+            calls.append((out.size, scratch.size,
+                          [np.size(x) for x in args]))
+            return original(out, scratch, args, *rest)
 
-        monkeypatch.setattr(dockopt.objective, "objective_terms", counting)
+        monkeypatch.setattr(dockopt.objective, "_total_cost_into", counting)
         total_cost_arrays(*self.rows(3 * _BLOCK + 17), self.W, self.COEFF)
-        # the dtype probe on empty arrays, then one call per block
-        assert calls == [0] + [_BLOCK] * 3 + [17]
+        # one call per block, each on block-sized pieces of all five inputs
+        assert calls == [(n, n, [n] * 5) for n in [_BLOCK] * 3 + [17]]
+
+    def test_bulk_path_allocates_one_output_and_cache_sized_buffers(self):
+        # tracemalloc sees numpy's buffers: beyond the output, the blocked
+        # path may hold at most 4 blocks of float64 at any time
+        x = self.rows(1_000_000)
+        total_cost_arrays(*x, self.W, self.COEFF)  # imports and caches
+        tracemalloc.start()
+        try:
+            got = total_cost_arrays(*x, self.W, self.COEFF)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.nbytes == 8 * 1_000_000
+        assert peak - got.nbytes <= 4 * _BLOCK * 8
 
     def test_python_float_broadcast_against_large_arrays(self):
         A, l, u, e, eta = self.rows(2 * _BLOCK + 5)
         self.assert_same(0.3, l, u, 0.5, eta)
         self.assert_same(A, 1.5, 0.25, e, 0.75)
+        self.assert_same(0.3, 1.5, u, 0.5, eta)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float32])
     def test_int_and_float32_inputs(self, dtype):
