@@ -51,10 +51,13 @@ the barrier's best stage is reported as IterationLimit.  A solve the
 barrier converges is never polished, so its answer is the barrier's bit
 for bit.
 
-``SolveResult.outer_trace`` is a ``BarrierTrace``: the stages' four
-numbers packed in one ``array('d')``, read back as ``BarrierStage``
-objects.  A result that is kept is about 1 KB smaller so than with a
-tuple of stage objects.
+``SolveResult.outer_trace`` is a ``BarrierTrace``: each stage's mu, cost
+and stationarity as float64 and its inner count as uint16, 26 bytes per
+stage in one ``bytes`` object, read back as ``BarrierStage`` objects.
+Results with the same active set share one tuple of its names.  A kept
+result takes about 1.0 KB (tracemalloc, over a weight sweep), against
+1.1 KB with the trace in an ``array('d')`` and 2.1 KB with a tuple of
+stage objects.
 
 The barrier is strictly convex on the interior for mu > 0 (Boyd &
 Vandenberghe, Convex Optimization, sections 3.1 and 11.2):
@@ -88,7 +91,9 @@ reference coefficients and the calibration goldens were fitted with it,
 and the benchmark re-solves with it.  Its starts come from
 ``latin_hypercube``, numpy's generator driven exactly as
 ``scipy.stats.qmc.LatinHypercube`` drives it, so they are the points
-those fits used, bit for bit, without loading scipy.stats.  The module
+those fits used, bit for bit, without loading scipy.stats.  They are
+drawn once per (count, seed) and kept, since every solve of a weight
+study or a calibration starts from the same points.  The module
 attribute ``qmc`` (scipy.stats.qmc, imported on first access) is no
 longer used here; it stays only because bench/tracing.py reads and
 restores it.  Importing this module and calling ``solve`` load neither
@@ -98,26 +103,34 @@ The solve loop works on plain Python floats: points, gradients and
 directions are lists of 5 floats and the Hessian is its 5 diagonal
 entries plus the two couplings, evaluated with ``math.log``/``math.log1p``.
 On vectors this short, numpy's per-call overhead costs far more than the
-arithmetic.  Each trial point is evaluated once, in one fused pass
+arithmetic, and so does the per-element bytecode of ``zip``, ``map`` and
+comprehensions: the Hessian, the Newton direction's descent test, the line
+search, the stage's exit tests and the repair's segment are written out on
+the five scalars, with the expressions, in the order, that a loop over
+them would evaluate.
+Each trial point is evaluated once, in one fused pass
 (``_BarrierProblem.evaluate``): it rejects a point that is not strictly
-interior, then computes x, g1, g2, J, the barrier value and its gradient,
-and keeps A, l, eta, g1 and g2 so that the Hessian at an accepted point
-reuses them.  J and its gradient are built on the 10 constants of
-``dockopt.objective.quadratic_form`` (J = sum((q_i*x_i - b_i)*x_i), dJ/dx_i
-= 2q_i*x_i - b_i), computed once per problem, with the operations, in the
-order, of ``total_cost_arrays`` and ``gradient_at``, so they are those
-functions' floats bit for bit.
+interior, then computes x, g1, g2, J and the barrier value, and the line
+search rejects a trial whose value fails the Armijo bound there, before
+its gradient is built (2,886 of the 10,002 trials of an 81-point weight
+sweep).  An accepted point carries its gradient and keeps A, l, eta, g1
+and g2 so that the Hessian there reuses them.  J and its gradient are
+built on the 10 constants of ``dockopt.objective.quadratic_form``
+(J = sum((q_i*x_i - b_i)*x_i), dJ/dx_i = 2q_i*x_i - b_i), computed once
+per problem, with the operations, in the order, of ``total_cost_arrays``
+and ``gradient_at``, so they are those functions' floats bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
-from array import array
+import struct
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
-from math import log, log1p
+from math import isfinite, log, log1p
 
 from .domain import DesignBounds, DesignVector, WeightVector, check_integer
 # gradient_at and total_cost_arrays are not called here, but stay names of
@@ -130,6 +143,10 @@ _VAR_NAMES = tuple(f.name for f in fields(DesignVector))
 _SLACK_NAMES = (*(f"{n}_lower" for n in _VAR_NAMES),
                 *(f"{n}_upper" for n in _VAR_NAMES),
                 "volume_min", "tolerance_ratio_min")
+# Each active set is kept once and shared by every result that has it:
+# its keys are subsets of _SLACK_NAMES in that order, so it holds at most
+# 2^12 entries.
+_ACTIVE_SETS: dict[tuple[str, ...], tuple[str, ...]] = {}
 _MIN_STEP = 1e-16
 _ACTIVE_SLACK = 1e-6
 # The polish finishes a continuation whose best stage's KKT residual is
@@ -223,56 +240,77 @@ class BarrierStage:
     inner_iterations: int
 
 
+# One stage of a BarrierTrace: mu, cost and stationarity as float64, then
+# the inner iteration count as uint16 (at most _MAX_INNER_ITERATIONS).
+_STAGE = struct.Struct("<3dH")
+
+
 class BarrierTrace(Sequence):
     """The stages of one barrier continuation, packed.
 
     Built from the flat values (mu, cost, stationarity, inner_iterations)
-    of each stage in turn, held in one ``array('d')``.  Indexing and
+    of each stage in turn, held in one ``bytes`` object of 26 bytes per
+    stage (``_STAGE``: three float64 and a uint16 count; a count that is
+    not an integer in [0, 65535] raises ValueError).  Indexing and
     iteration build ``BarrierStage`` objects on access, and a slice is a
     BarrierTrace.  The trace is immutable and hashable, equal to a trace
-    of the same stages, and deep-copies to itself.  A solve's 12 stages
-    take about 0.4 KB this way, against about 1.4 KB as a tuple of
-    BarrierStage objects, each holding two boxed floats.
+    of the same stage values (compared as floats, so 0.0 == -0.0 and a nan
+    is unequal to itself), and deep-copies to itself.  A solve's 12
+    stages take 345 bytes this way, against 464 in an ``array('d')`` of
+    48 values and about 1.4 KB as a tuple of BarrierStage objects, each
+    holding two boxed floats.
     """
 
     __slots__ = ("_data",)
 
     def __init__(self, values: Iterable[float] = ()) -> None:
-        data = array("d", values)
-        if len(data) % 4:
+        values = tuple(values)
+        if len(values) % 4:
             raise ValueError("a barrier trace holds 4 values per stage")
+        try:
+            data = struct.pack(f"<{'3dH' * (len(values) // 4)}", *values)
+        except struct.error as exc:
+            raise ValueError(f"a barrier stage holds three floats and an "
+                             f"inner iteration count in [0, 65535]: {exc}",
+                             ) from None
         object.__setattr__(self, "_data", data)
 
+    @classmethod
+    def _packed(cls, data: bytes) -> BarrierTrace:
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "_data", data)
+        return trace
+
     def __len__(self) -> int:
-        return len(self._data) // 4
+        return len(self._data) // _STAGE.size
 
     def __getitem__(self, index):
+        size, data = _STAGE.size, self._data
         if isinstance(index, slice):
-            data = self._data
-            return BarrierTrace([v for i in range(*index.indices(len(self)))
-                                 for v in data[4 * i:4 * i + 4]])
+            return BarrierTrace._packed(b"".join(
+                data[size * i:size * i + size]
+                for i in range(*index.indices(len(self)))))
         i = operator.index(index)
         if i < 0:
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError("barrier trace index out of range")
-        return self._stage(4 * i)
+        return BarrierStage(*_STAGE.unpack_from(data, size * i))
 
     def __iter__(self):
-        for k in range(0, len(self._data), 4):
-            yield self._stage(k)
+        for values in _STAGE.iter_unpack(self._data):
+            yield BarrierStage(*values)
 
-    def _stage(self, k: int) -> BarrierStage:
-        data = self._data
-        return BarrierStage(data[k], data[k + 1], data[k + 2], int(data[k + 3]))
+    def _values(self) -> tuple[tuple[float, float, float, int], ...]:
+        return tuple(_STAGE.iter_unpack(self._data))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, BarrierTrace):
-            return self._data == other._data
+            return self._values() == other._values()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(self._data))  # equal floats hash alike, -0.0 too
+        return hash(self._values())  # equal floats hash alike, -0.0 too
 
     def __repr__(self) -> str:
         return f"BarrierTrace({list(self)!r})"
@@ -284,7 +322,7 @@ class BarrierTrace(Sequence):
         raise AttributeError("BarrierTrace is immutable")
 
     def __reduce__(self):
-        return BarrierTrace, (self._data,)
+        return BarrierTrace._packed, (self._data,)
 
     def __deepcopy__(self, memo) -> BarrierTrace:
         return self
@@ -330,6 +368,7 @@ class _BarrierProblem:
         self.lb = bounds.lower.as_tuple()
         self.range = tuple(hi - lo for lo, hi in zip(self.lb,
                                                      bounds.upper.as_tuple()))
+        self.V, self.R = cons.volume_min, cons.tolerance_ratio_min
         self.g1_scale = cons.volume_min if cons.volume_min > 0.0 else 1.0
         self.g2_scale = cons.tolerance_ratio_min if cons.tolerance_ratio_min > 0.0 else 1.0
         self.log_scales = math.log(self.g1_scale) + math.log(self.g2_scale)
@@ -346,8 +385,7 @@ class _BarrierProblem:
         return [(xi - lo) / r for xi, lo, r in zip(x, self.lb, self.range)]
 
     def constraints(self, x: list[float]) -> tuple[float, float]:
-        return (x[0] * x[1] - self.cons.volume_min,
-                x[4] / x[0] - self.cons.tolerance_ratio_min)
+        return x[0] * x[1] - self.V, x[4] / x[0] - self.R
 
     def scaled_slacks(self, z: list[float]) -> list[float]:
         """Slacks of all 12 inequality faces, each scaled to O(1):
@@ -356,14 +394,17 @@ class _BarrierProblem:
         return [*z, *(1.0 - zi for zi in z),
                 g1 / self.g1_scale, g2 / self.g2_scale]
 
-    def evaluate(self, z: list[float], mu: float) -> tuple | None:
+    def evaluate(self, z: list[float], mu: float,
+                 f_max: float | None = None) -> tuple | None:
         """The barrier at z in one pass, or None unless z is strictly
         interior (every z_i in (0, 1), g1 > 0 and g2 > 0; nan fails).
 
         Returns the point ``(z, f, g, cost, A, l, eta, g1, g2)``: the
         barrier value f and its gradient g in z, J at x(z), and the parts
         of x and the constraint values that ``hessian`` reuses.  With
-        mu = 0, f and g are J and its gradient.
+        mu = 0, f and g are J and its gradient.  Given ``f_max``, a point
+        whose f fails ``f <= f_max`` (a nan f too) is None as well, and
+        its gradient is never built: a line search rejects it on f alone.
         """
         z0, z1, z2, z3, z4 = z
         if not (0.0 < z0 < 1.0 and 0.0 < z1 < 1.0 and 0.0 < z2 < 1.0
@@ -376,15 +417,14 @@ class _BarrierProblem:
         u = lo2 + z2 * r2
         e = lo3 + z3 * r3
         eta = lo4 + z4 * r4
-        g1 = A * l - self.cons.volume_min
-        g2 = eta / A - self.cons.tolerance_ratio_min
+        g1 = A * l - self.V
+        g2 = eta / A - self.R
         if not (g1 > 0.0 and g2 > 0.0):
             return None
 
         # J and dJ/dx with the operations, in the order, of
         # total_cost_arrays and gradient_at.
         q0, q1, q2, q3, q4 = self.q
-        s0, s1, s2, s3, s4 = self.q2  # dJ/dx_i = s_i*x_i - b_i
         b0, b1, b2, b3, b4 = self.b
         cost = ((q0 * A - b0) * A + (q1 * l - b1) * l + (q2 * u - b2) * u
                 + (q3 * e - b3) * e + (q4 * eta - b4) * eta)
@@ -394,8 +434,11 @@ class _BarrierProblem:
             + log1p(-z4)
         f = cost - mu * (log_z + log_1mz + log(g1) + log(g2)
                          - self.log_scales)
+        if f_max is not None and not f <= f_max:
+            return None
         # Gradient in z: dJ/dx_i times the range, the two box terms, then
         # mu/g times each constraint's gradient, summed in that order.
+        s0, s1, s2, s3, s4 = self.q2  # dJ/dx_i = s_i*x_i - b_i
         c1 = mu / g1
         c2 = mu / g2
         g = [(s0 * A - b0) * r0 - mu / z0 + mu / (1.0 - z0)
@@ -413,25 +456,31 @@ class _BarrierProblem:
         ``evaluate``, as an arrowhead: the 5 diagonal entries, then the
         (A, l) and (A, eta) entries, the only nonzero ones off the diagonal
         (g1 ties A to l, g2 ties A to eta)."""
-        z, _, _, _, A, l, eta, g1, g2 = point
+        (z0, z1, z2, z3, z4), _, _, _, A, l, eta, g1, g2 = point
+        k0, k1, k2, k3, k4 = self.cost_hess_diag
         r0, r1, _, _, r4 = self.range
-        diag = [ci + mu * (1.0 / (zi * zi) + 1.0 / ((1.0 - zi) * (1.0 - zi)))
-                for ci, zi in zip(self.cost_hess_diag, z)]
+        # The cost's curvature plus both box terms', per coordinate.
+        w0, w1, w2, w3, w4 = 1.0 - z0, 1.0 - z1, 1.0 - z2, 1.0 - z3, 1.0 - z4
+        d0 = k0 + mu * (1.0 / (z0 * z0) + 1.0 / (w0 * w0))
+        d1 = k1 + mu * (1.0 / (z1 * z1) + 1.0 / (w1 * w1))
+        d2 = k2 + mu * (1.0 / (z2 * z2) + 1.0 / (w2 * w2))
+        d3 = k3 + mu * (1.0 / (z3 * z3) + 1.0 / (w3 * w3))
+        d4 = k4 + mu * (1.0 / (z4 * z4) + 1.0 / (w4 * w4))
         # g1 = A*l - V: outer product of its gradient, then d2(A*l)/dAdl = 1.
         u0, u1 = l * r0, A * r1
         c1 = mu / g1**2
-        diag[0] += c1 * (u0 * u0)
-        diag[1] += c1 * (u1 * u1)
+        d0 += c1 * (u0 * u0)
+        d1 += c1 * (u1 * u1)
         h01 = c1 * (u0 * u1) - mu / g1 * r0 * r1
         # g2 = eta/A - R: outer product of its gradient, then its curvature.
         v0, v4 = -eta / A**2 * r0, 1.0 / A * r4
         c2 = mu / g2**2
-        diag[0] += c2 * (v0 * v0)
-        diag[4] += c2 * (v4 * v4)
+        d0 += c2 * (v0 * v0)
+        d4 += c2 * (v4 * v4)
         h04 = c2 * (v0 * v4)
-        diag[0] -= mu / g2 * 2.0 * eta / A**3 * r0**2
+        d0 -= mu / g2 * 2.0 * eta / A**3 * r0**2
         h04 -= mu / g2 * (-1.0 / A**2) * r0 * r4
-        return diag, h01, h04
+        return [d0, d1, d2, d3, d4], h01, h04
 
 
 def barrier_objective(x: DesignVector, mu: float, w: WeightVector,
@@ -503,41 +552,52 @@ def _repair_to_interior(problem: _BarrierProblem,
         return z
 
     anchor = interior_anchor(problem.bounds, problem.cons)
+    z0, z1, z2, z3, z4 = z
+    a0, a1, a2, a3, a4 = anchor
     for k in range(1, 64):
         t = k / 64
-        candidate = [(1.0 - t) * zi + t * ai for zi, ai in zip(z, anchor)]
+        s = 1.0 - t
+        candidate = [s * z0 + t * a0, s * z1 + t * a1, s * z2 + t * a2,
+                     s * z3 + t * a3, s * z4 + t * a4]
         if problem.evaluate(candidate, 0.0) is not None:
             return candidate
     return anchor
-
-
-def _dot(a: list[float], b: list[float]) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3] + a[4] * b[4]
 
 
 def _line_search(problem: _BarrierProblem, point: tuple, p: list[float],
                  mu: float) -> tuple | None:
     """Armijo backtracking from an evaluated point, starting from the
     largest box-respecting step; trial points outside the strict interior
-    shrink the step further.  Returns the accepted point, or None."""
-    z, f, g = point[:3]
-    gp = _dot(g, p)
+    shrink the step further.  Returns the accepted point, or None.
+
+    Each trial is evaluated against the Armijo bound, so a rejected trial
+    costs its value alone, not its gradient."""
+    (z0, z1, z2, z3, z4), f, (g0, g1, g2, g3, g4) = point[:3]
+    p0, p1, p2, p3, p4 = p
+    gp = g0 * p0 + g1 * p1 + g2 * p2 + g3 * p3 + g4 * p4
+    # The step to each coordinate's box face along p (inf if p_i is 0 or
+    # nan); a limit that is not positive is not a face ahead.
     nearest = math.inf
-    for zi, pi in zip(z, p):
-        if pi < 0.0:
-            limit = zi / -pi
-        elif pi > 0.0:
-            limit = (1.0 - zi) / pi
-        else:
-            continue
+    for limit in (z0 / -p0 if p0 < 0.0 else (1.0 - z0) / p0 if p0 > 0.0
+                  else math.inf,
+                  z1 / -p1 if p1 < 0.0 else (1.0 - z1) / p1 if p1 > 0.0
+                  else math.inf,
+                  z2 / -p2 if p2 < 0.0 else (1.0 - z2) / p2 if p2 > 0.0
+                  else math.inf,
+                  z3 / -p3 if p3 < 0.0 else (1.0 - z3) / p3 if p3 > 0.0
+                  else math.inf,
+                  z4 / -p4 if p4 < 0.0 else (1.0 - z4) / p4 if p4 > 0.0
+                  else math.inf):
         if 0.0 < limit < nearest:
             nearest = limit
     alpha = min(1.0, _BOUNDARY_FRACTION * nearest)
 
+    evaluate = problem.evaluate
     while alpha > _MIN_STEP:
-        trial = problem.evaluate([zi + alpha * pi for zi, pi in zip(z, p)], mu)
-        # trial[1] is the barrier value at the trial point
-        if trial is not None and trial[1] <= f + _ARMIJO_C * alpha * gp:
+        trial = evaluate([z0 + alpha * p0, z1 + alpha * p1, z2 + alpha * p2,
+                          z3 + alpha * p3, z4 + alpha * p4],
+                         mu, f + _ARMIJO_C * alpha * gp)
+        if trial is not None:
             return trial
         alpha *= _BACKTRACK_FACTOR
     return None
@@ -569,11 +629,15 @@ def _newton_direction(problem: _BarrierProblem, point: tuple,
     fails, or p is not finite or not a descent direction, only on a nan or
     an overflow; the direction is then -g.
     """
-    g = point[2]
+    g0, g1, g2, g3, g4 = g = point[2]
     p = _arrowhead_solve(problem.hessian(point, mu), g)
-    if p is not None and all(map(math.isfinite, p)) and _dot(g, p) < 0.0:
-        return p
-    return [-gi for gi in g]
+    if p is not None:
+        p0, p1, p2, p3, p4 = p
+        if (isfinite(p0) and isfinite(p1) and isfinite(p2) and isfinite(p3)
+                and isfinite(p4)
+                and g0 * p0 + g1 * p1 + g2 * p2 + g3 * p3 + g4 * p4 < 0.0):
+            return p
+    return [-g0, -g1, -g2, -g3, -g4]
 
 
 def _newton_stage(problem: _BarrierProblem, z: list[float], mu: float,
@@ -587,17 +651,19 @@ def _newton_stage(problem: _BarrierProblem, z: list[float], mu: float,
     resolution).  Returns the evaluated iterate and the steps taken.
     """
     point = problem.evaluate(z, mu)
+    (z0, z1, z2, z3, z4), _, (g0, g1, g2, g3, g4) = point[:3]
     iterations = 0
 
-    # point[0] is the iterate z and point[2] its gradient
-    while max(map(abs, point[2])) > tol \
+    while max(abs(g0), abs(g1), abs(g2), abs(g3), abs(g4)) > tol \
             and iterations < _MAX_INNER_ITERATIONS:
         p = _newton_direction(problem, point, mu)
         trial = _line_search(problem, point, p, mu)
         if trial is None:
             break  # no acceptable step: no progress possible
-        moved = max(abs(a - b) for a, b in zip(trial[0], point[0]))
-        point = trial
+        (t0, t1, t2, t3, t4), _, (g0, g1, g2, g3, g4) = trial[:3]
+        moved = max(abs(t0 - z0), abs(t1 - z1), abs(t2 - z2), abs(t3 - z3),
+                    abs(t4 - z4))
+        point, z0, z1, z2, z3, z4 = trial, t0, t1, t2, t3, t4
         iterations += 1
         if moved < 1e-15:
             break  # below position resolution; no progress possible
@@ -631,8 +697,7 @@ def _solve_from_z(problem: _BarrierProblem, z0: list[float]) -> SolveResult:
     x = problem.x_of_z(best_z)
     x_star = DesignVector(*x)
     slacks = problem.scaled_slacks(best_z)
-    active = tuple(name for name, s in zip(_SLACK_NAMES, slacks)
-                   if s < _ACTIVE_SLACK)
+    active = _active_set(s < _ACTIVE_SLACK for s in slacks)
     result = SolveResult(
         x_star=x_star,
         objective=total_cost(x_star, problem.w, problem.coeff),
@@ -649,6 +714,13 @@ def _solve_from_z(problem: _BarrierProblem, z0: list[float]) -> SolveResult:
         if polished is not None:
             return polished
     return result
+
+
+def _active_set(faces: Iterable[bool]) -> tuple[str, ...]:
+    """The names of the faces flagged in ``faces`` (in _SLACK_NAMES
+    order), as the one tuple that every result with this set shares."""
+    active = tuple(name for name, f in zip(_SLACK_NAMES, faces) if f)
+    return _ACTIVE_SETS.setdefault(active, active)
 
 
 def _polish(problem: _BarrierProblem, z: list[float],
@@ -674,7 +746,7 @@ def _polish(problem: _BarrierProblem, z: list[float],
     """
     lo, hi = problem.lb, problem.bounds.upper.as_tuple()
     quad, lin, r = problem.q2, problem.b, problem.range
-    V, R = problem.cons.volume_min, problem.cons.tolerance_ratio_min
+    V, R = problem.V, problem.R
     free = [b / q if q > 0.0 else math.inf if b > 0.0 else -math.inf
             for q, b in zip(quad, lin)]
     qA, ql, qe = quad[0], quad[1], quad[4]
@@ -794,11 +866,10 @@ def _polish(problem: _BarrierProblem, z: list[float],
     if not (residual <= _KKT_TOLERANCE
             and objective.J <= barrier.objective.J):
         return None
-    faces = [*at_lo, *at_hi, on_g1, on_g2]
     return SolveResult(
         x_star=x_star, objective=objective, kkt_residual=residual,
         constraint_values=(g1, g2),
-        active_set=tuple(name for name, f in zip(_SLACK_NAMES, faces) if f),
+        active_set=_active_set([*at_lo, *at_hi, on_g1, on_g2]),
         iterations=barrier.iterations, status=SolverStatus.Converged,
         outer_trace=barrier.outer_trace)
 
@@ -856,6 +927,14 @@ def latin_hypercube(n: int, seed: int) -> list[list[float]]:
     return ((perms.T - u) / n).tolist()
 
 
+@functools.lru_cache(maxsize=16)
+def _starts(n: int, seed: int) -> tuple[tuple[float, ...], ...]:
+    """``latin_hypercube(n, seed)`` as tuples, drawn once per (n, seed):
+    a weight study or a calibration solves many problems from the same
+    starts."""
+    return tuple(map(tuple, latin_hypercube(n, seed)))
+
+
 def multi_start_solve(w: WeightVector, coeff: ObjectiveCoefficients,
                       bounds: DesignBounds, cons: ConstraintSet,
                       settings: SolverSettings = SolverSettings()) -> SolveResult:
@@ -865,13 +944,15 @@ def multi_start_solve(w: WeightVector, coeff: ObjectiveCoefficients,
     The problem is convex, so converged starts agree on the optimum, and
     the starts after the first converged one are not run.  The starts are
     ``latin_hypercube(settings.multistart_count, settings.seed)``, the
-    points scipy's sampler gives for the same seed.  The module's ``qmc``
-    is not read; it stays only for bench/tracing.py (see ``__getattr__``).
+    points scipy's sampler gives for the same seed, drawn on the first
+    call for that count and seed and kept for later calls.  The module's
+    ``qmc`` is not read; it stays only for bench/tracing.py (see
+    ``__getattr__``).
     """
     problem = _BarrierProblem(w, coeff, bounds, cons)
     first = None
-    for z in latin_hypercube(settings.multistart_count, settings.seed):
-        result = _solve_from_z(problem, z)
+    for z in _starts(settings.multistart_count, settings.seed):
+        result = _solve_from_z(problem, list(z))
         if result.converged:
             return result
         if first is None:

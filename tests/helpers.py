@@ -5,8 +5,9 @@ These deliberately avoid the solver's machinery: the grid oracle scans an
 exhaustive feasible lattice for the lowest cost, the exact oracle bisects
 the derivative of the cost reduced to the frontal area, the quadrature
 oracle integrates sin(phi) numerically instead of using the closed form,
-and the reference barrier evaluates the value, gradient and Hessian with
-numpy arrays instead of the solver's plain-float code.
+the reference barrier evaluates the value, gradient and Hessian with
+numpy arrays instead of the solver's plain-float code, and the reference
+line search evaluates every trial in full before its Armijo test.
 """
 
 import functools
@@ -16,7 +17,8 @@ import numpy as np
 
 from dockopt import DesignBounds, ObjectiveCoefficients, WeightVector
 from dockopt.objective import gradient_at, total_cost_arrays
-from dockopt.solver import ConstraintSet
+from dockopt.solver import (_ARMIJO_C, _BACKTRACK_FACTOR, _BOUNDARY_FRACTION,
+                            _MIN_STEP, ConstraintSet)
 
 
 def grid_min_cost(w: WeightVector, coeff: ObjectiveCoefficients,
@@ -235,3 +237,35 @@ class ReferenceBarrier:
         hess[0, 4] -= cross
         hess[4, 0] -= cross
         return hess
+
+
+def backtracking_line_search(problem, point, p, mu):
+    """Armijo backtracking along p from an evaluated point of a
+    ``dockopt.solver._BarrierProblem``, looped over the coordinates.  The
+    first step is the smaller of 1 and 0.995 of the step to the nearest
+    box face ahead.  Every trial is evaluated in full (value and gradient),
+    and the first one that is strictly interior with f <= f0 + c*alpha*g.p
+    is returned; the step halves down to 1e-16, and None means no trial
+    passed.  The solver's line search must accept the same point, bit for
+    bit."""
+    z, f, g = point[:3]
+    gp = g[0] * p[0]
+    for gi, pi in zip(g[1:], p[1:]):
+        gp += gi * pi
+    nearest = math.inf
+    for zi, pi in zip(z, p):
+        if pi < 0.0:
+            limit = zi / -pi
+        elif pi > 0.0:
+            limit = (1.0 - zi) / pi
+        else:
+            continue
+        if 0.0 < limit < nearest:
+            nearest = limit
+    alpha = min(1.0, _BOUNDARY_FRACTION * nearest)
+    while alpha > _MIN_STEP:
+        trial = problem.evaluate([zi + alpha * pi for zi, pi in zip(z, p)], mu)
+        if trial is not None and trial[1] <= f + _ARMIJO_C * alpha * gp:
+            return trial
+        alpha *= _BACKTRACK_FACTOR
+    return None

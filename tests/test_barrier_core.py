@@ -3,8 +3,9 @@ against the surrogates, the fused evaluation against ``dockopt.objective``
 bit for bit and against the numpy reference, its interior test, the
 Hessian at an evaluated point against the one rebuilt from z and against
 central differences, the arrowhead Newton solve's backward error, the
-steepest-descent fallback, the repair to a strictly feasible start, and
-whole solves against an exact oracle."""
+steepest-descent fallback, the evaluation bounded by a line search's
+Armijo test and that line search against full backtracking, the repair to
+a strictly feasible start, and whole solves against an exact oracle."""
 
 import math
 
@@ -21,7 +22,8 @@ from dockopt.solver import (_MARGIN, InfeasibleProblemError,
                             _arrowhead_solve, _BarrierProblem, _line_search,
                             _newton_direction, _repair_to_interior,
                             interior_anchor)
-from helpers import ReferenceBarrier, exact_min_cost
+from helpers import (ReferenceBarrier, backtracking_line_search,
+                     exact_min_cost)
 
 EPS = np.finfo(float).eps
 
@@ -350,6 +352,70 @@ def test_steepest_descent_when_cholesky_fails(hess):
     p = _newton_direction(_FixedHessian(hess), ([0.5] * 5, 0.0, GRADIENT),
                           1.0)
     assert p == [-gi for gi in GRADIENT]
+
+
+@pytest.mark.parametrize("i", range(5))
+def test_steepest_descent_when_the_newton_step_overflows(i):
+    # a subnormal pivot sends one component of p to +-inf
+    diag = [2.0, 3.0, 1.0, 4.0, 1.5]
+    diag[i] = 5e-324
+    p = _arrowhead_solve((diag, 0.0, 0.0), GRADIENT)
+    assert p is not None and math.isinf(p[i])
+    assert _newton_direction(_FixedHessian((diag, 0.0, 0.0)),
+                             ([0.5] * 5, 0.0, GRADIENT), 1.0) \
+        == [-gi for gi in GRADIENT]
+
+
+# A bound on f: a float, or an int k for the point's own f moved by k ulps
+# (from 0.0 if z is not interior).
+f_bounds = st.one_of(st.integers(-2, 2),
+                     st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights, coefficients, instances(),
+       st.one_of(st.none(), st.lists(st.one_of(st.none(), edge_values),
+                                     min_size=5, max_size=5)),
+       st.one_of(barrier_weights, st.just(math.nan)), f_bounds)
+def test_a_bounded_evaluation_is_the_full_one_or_none(w, coeff, instance,
+                                                      edges, mu, bound):
+    # edges, if drawn, move z onto or off the box as above; a nan mu makes
+    # f nan: returned without a bound, rejected by any bound
+    bounds, cons, z = instance
+    problem = _BarrierProblem(w, coeff, bounds, cons)
+    if edges is not None:
+        z = [zi if ei is None else ei for zi, ei in zip(z, edges)]
+    full = problem.evaluate(z, mu)
+    f_max = bound
+    if isinstance(bound, int):
+        f_max = full[1] if full is not None else 0.0
+        for _ in range(abs(bound)):
+            f_max = math.nextafter(f_max, math.copysign(math.inf, bound))
+    bounded = problem.evaluate(z, mu, f_max)
+    if full is None or not full[1] <= f_max:
+        assert bounded is None
+    else:
+        assert repr(bounded) == repr(full)
+
+
+# a direction: the Newton direction (None), or any, zeros and nan included
+directions = st.one_of(st.none(), st.lists(
+    st.one_of(st.floats(-10.0, 10.0), st.just(0.0), st.just(math.nan)),
+    min_size=5, max_size=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights, coefficients, instances(), barrier_weights, directions)
+def test_line_search_accepts_the_point_of_full_backtracking(w, coeff, instance,
+                                                            mu, direction):
+    bounds, cons, z = instance
+    problem = _BarrierProblem(w, coeff, bounds, cons)
+    point = problem.evaluate(z, mu)
+    assume(point is not None)
+    p = _newton_direction(problem, point, mu) if direction is None \
+        else direction
+    assert repr(_line_search(problem, point, p, mu)) \
+        == repr(backtracking_line_search(problem, point, p, mu))
 
 
 # strictly inside the box that _repair_to_interior clips to (margin 1e-3)
