@@ -212,6 +212,21 @@ class TestSimulateCommand:
         assert run("b", 5) != seeded_0  # the seed changes the output
         assert run("c", 5, env_seed="0") == seeded_0
 
+    @pytest.mark.parametrize("sigma_c, clearance", [(1.0e-200, 1.3e-200),
+                                                    (1.0e200, 1.3e200)])
+    def test_extreme_length_scale(self, tmp_path, capsys, sigma_c,
+                                  clearance):
+        geometry = {**_GEOMETRY, "clearance": clearance}
+        cfg = write_config(tmp_path,
+                           simulation={"samples": 1000, "sigma_c": sigma_c,
+                                       "geometry": geometry},
+                           output={"result": str(tmp_path / "sim.json")})
+        assert main(["simulate", cfg]) == 0
+        capsys.readouterr()
+        record = json.loads((tmp_path / "sim.json").read_text())
+        assert record["closed_form"] \
+            == pytest.approx(1 - math.exp(-1.3**2 / 2), abs=1e-9)
+
     def test_geometry_required(self, tmp_path, capsys):
         cfg = write_config(tmp_path, simulation={"samples": 1000})
         assert main(["simulate", cfg]) == 1

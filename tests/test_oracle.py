@@ -11,7 +11,7 @@ from dockopt import (DesignVector, DockGeometry, ObjectiveCoefficients,
                      SimulationConfig, docking_reliability,
                      rayleigh_success_probability, reliability_correlation,
                      simulate_docking)
-from dockopt.oracle import _CHUNK
+from dockopt.oracle import _CHUNK, _success_counts
 
 HEMISPHERE = (0.0, 2 * math.pi, 0.0, math.pi / 2)
 
@@ -39,6 +39,17 @@ class TestClosedForm:
     def test_non_finite_input_rejected(self, clearance, sigma_c):
         with pytest.raises(ValueError):
             rayleigh_success_probability(clearance, sigma_c)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sigma=st.floats(0.01, 10.0), ratio=st.floats(0.0, 4.0),
+           j=st.integers(-600, 600))
+    def test_value_is_invariant_to_the_length_unit(self, sigma, ratio, j):
+        # Squaring D and sigma_c apart would overflow at 1e200 and divide
+        # zero by zero at 1e-200; their ratio is exact under 2**j.
+        k = 2.0**j
+        clearance = ratio * sigma
+        assert rayleigh_success_probability(clearance * k, sigma * k) \
+            == rayleigh_success_probability(clearance, sigma)
 
 
 class TestSimulateDocking:
@@ -103,14 +114,30 @@ class TestSimulateDocking:
                                          seed))
         assert scaled == base
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_chunked_count_matches_a_one_shot_hypot_reference(self, seed):
+    # Draw sizes at the edges of the reused block: one row, a part block,
+    # one full block, a block and one row, several blocks and a part.
+    @pytest.mark.parametrize("seed, n", [
+        *(pytest.param(0, n, id=f"n={n}")
+          for n in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1)),
+        *(pytest.param(seed, 3 * _CHUNK + 17, id=str(seed))
+          for seed in (0, 1, 2))])
+    def test_chunked_count_matches_a_one_shot_hypot_reference(self, seed, n):
         sigma, clearance = 0.1, 0.13
-        n = 3 * _CHUNK + 17
         errors = np.random.default_rng(seed).normal(0.0, sigma, (n, 2))
         expected = int(np.count_nonzero(np.hypot(*errors.T) <= clearance))
         report = simulate_docking(config(clearance, sigma, n, seed))
         assert report.success_rate == expected / n
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31), samples=st.integers(1, 2 * _CHUNK + 3),
+           radii_sq=st.lists(st.floats(0.0, math.inf), min_size=1,
+                             max_size=8))
+    def test_counts_do_not_decrease_with_the_radius(self, seed, samples,
+                                                    radii_sq):
+        radii_sq.sort()
+        counts = _success_counts(seed, samples, radii_sq)
+        assert counts == sorted(counts)
+        assert 0 <= counts[0] and counts[-1] <= samples
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -139,7 +166,42 @@ class TestReliabilityCorrelation:
                                        sigma_c=0.1, samples=20_000, seed=0)
         assert corr > 0.97
         # frozen from the seeded run; the Rayleigh closed form gives 0.99410
-        assert corr == pytest.approx(0.9936499768253164, abs=1e-12)
+        assert corr == pytest.approx(0.9931528827853451, abs=1e-12)
+
+    @pytest.mark.parametrize("samples, seed", [(20_000, 0),
+                                               (3 * _CHUNK + 17, 4)])
+    def test_equals_the_correlation_of_standalone_simulations(self, samples,
+                                                              seed):
+        # Every design is counted on the attempts that simulate_docking
+        # draws for the same seed and sample count.
+        coeff, sigma = ObjectiveCoefficients(), 0.1
+        rates = [simulate_docking(config((1.0 + x.eta) * sigma, sigma,
+                                         samples, seed)).success_rate
+                 for x in self.designs()]
+        surrogate = [docking_reliability(x, coeff) for x in self.designs()]
+        assert reliability_correlation(self.designs(), coeff, sigma, samples,
+                                       seed) \
+            == float(np.corrcoef(rates, surrogate)[0, 1])
+
+    @pytest.mark.parametrize("key, value", [
+        ("samples", 0), ("samples", 2.5), ("samples", math.inf),
+        ("seed", 1.5), ("seed", -1),
+        ("sigma_c", 0.0), ("sigma_c", math.nan), ("sigma_c", math.inf)])
+    def test_bad_argument_rejected_before_any_draw(self, monkeypatch, key,
+                                                   value):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("attempts drawn for a bad argument")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        args = {"sigma_c": 0.1, "samples": 1_000, "seed": 0, key: value}
+        with pytest.raises(ValueError, match=key):
+            reliability_correlation(self.designs(), self.ETA_ONLY, **args)
+
+    def test_overflowing_clearance_rejected(self):
+        # (1 + eta) * sigma_c is inf for eta near 1: no geometry has it
+        with pytest.raises(ValueError, match="clearance"):
+            reliability_correlation(self.designs(), self.ETA_ONLY,
+                                    sigma_c=1e308, samples=1_000, seed=0)
 
     def test_matches_closed_form_oracle(self):
         rates = np.array([1 - math.exp(-(1 + e) ** 2 / 2)
