@@ -119,6 +119,18 @@ built on the 10 constants of ``dockopt.objective.quadratic_form``
 (J = sum((q_i*x_i - b_i)*x_i), dJ/dx_i = 2q_i*x_i - b_i), computed once
 per problem, with the operations, in the order, of ``total_cost_arrays``
 and ``gradient_at``, so they are those functions' floats bit for bit.
+
+Work that cannot change a solve's answer is done once.  An evaluated
+point also keeps its log-barrier sum.  x, g1, g2, J and that sum do not
+depend on mu, so each stage's first point, where the last stage ended, is
+built from them at the new mu (``_BarrierProblem.reweight``), without the
+12 logs, J or the interior tests; f and g use ``evaluate``'s
+expressions in its order, so the point is ``evaluate``'s bit for bit.  A
+start is repaired into the interior (``_repair_to_interior``) once per
+bounds, constraints and start point, the only inputs the repair reads,
+and kept, at most 64 of them: a weight study or a calibration solves
+every problem from the same few starts.  Each solve gets its own copy of
+the repaired point.
 """
 
 from __future__ import annotations
@@ -399,12 +411,14 @@ class _BarrierProblem:
         """The barrier at z in one pass, or None unless z is strictly
         interior (every z_i in (0, 1), g1 > 0 and g2 > 0; nan fails).
 
-        Returns the point ``(z, f, g, cost, A, l, eta, g1, g2)``: the
-        barrier value f and its gradient g in z, J at x(z), and the parts
-        of x and the constraint values that ``hessian`` reuses.  With
-        mu = 0, f and g are J and its gradient.  Given ``f_max``, a point
-        whose f fails ``f <= f_max`` (a nan f too) is None as well, and
-        its gradient is never built: a line search rejects it on f alone.
+        Returns the point ``(z, f, g, cost, A, l, eta, g1, g2, logs)``:
+        the barrier value f and its gradient g in z, J at x(z), the parts
+        of x and the constraint values that ``hessian`` reuses, and the
+        log-barrier sum, f = cost - mu * logs, that ``reweight`` reuses.
+        With mu = 0, f and g are J and its gradient.  Given ``f_max``, a
+        point whose f fails ``f <= f_max`` (a nan f too) is None as well,
+        and its gradient is never built: a line search rejects it on f
+        alone.
         """
         z0, z1, z2, z3, z4 = z
         if not (0.0 < z0 < 1.0 and 0.0 < z1 < 1.0 and 0.0 < z2 < 1.0
@@ -432,8 +446,8 @@ class _BarrierProblem:
         log_z = log(z0) + log(z1) + log(z2) + log(z3) + log(z4)
         log_1mz = log1p(-z0) + log1p(-z1) + log1p(-z2) + log1p(-z3) \
             + log1p(-z4)
-        f = cost - mu * (log_z + log_1mz + log(g1) + log(g2)
-                         - self.log_scales)
+        logs = log_z + log_1mz + log(g1) + log(g2) - self.log_scales
+        f = cost - mu * logs
         if f_max is not None and not f <= f_max:
             return None
         # Gradient in z: dJ/dx_i times the range, the two box terms, then
@@ -448,15 +462,40 @@ class _BarrierProblem:
              (s3 * e - b3) * r3 - mu / z3 + mu / (1.0 - z3),
              (s4 * eta - b4) * r4 - mu / z4 + mu / (1.0 - z4)
              - c2 * (1.0 / A * r4)]
-        return z, f, g, cost, A, l, eta, g1, g2
+        return z, f, g, cost, A, l, eta, g1, g2, logs
+
+    def reweight(self, point: tuple, mu: float) -> tuple:
+        """``evaluate(z, mu)`` for the z of an evaluated point, built from
+        its x, constraint values, J and log-barrier sum, which do not
+        depend on mu: f and g only, with ``evaluate``'s expressions in its
+        order, so the point is the evaluated one bit for bit."""
+        z, _, _, cost, A, l, eta, g1, g2, logs = point
+        z0, z1, z2, z3, z4 = z
+        r0, r1, r2, r3, r4 = self.range
+        u = self.lb[2] + z2 * r2
+        e = self.lb[3] + z3 * r3
+        f = cost - mu * logs
+        b0, b1, b2, b3, b4 = self.b
+        s0, s1, s2, s3, s4 = self.q2
+        c1 = mu / g1
+        c2 = mu / g2
+        g = [(s0 * A - b0) * r0 - mu / z0 + mu / (1.0 - z0)
+             - c1 * (l * r0) - c2 * (-eta / A**2 * r0),
+             (s1 * l - b1) * r1 - mu / z1 + mu / (1.0 - z1) - c1 * (A * r1),
+             (s2 * u - b2) * r2 - mu / z2 + mu / (1.0 - z2),
+             (s3 * e - b3) * r3 - mu / z3 + mu / (1.0 - z3),
+             (s4 * eta - b4) * r4 - mu / z4 + mu / (1.0 - z4)
+             - c2 * (1.0 / A * r4)]
+        return z, f, g, cost, A, l, eta, g1, g2, logs
 
     def hessian(self, point: tuple, mu: float,
                 ) -> tuple[list[float], float, float]:
         """Exact barrier Hessian in z coordinates at a point from
         ``evaluate``, as an arrowhead: the 5 diagonal entries, then the
         (A, l) and (A, eta) entries, the only nonzero ones off the diagonal
-        (g1 ties A to l, g2 ties A to eta)."""
-        (z0, z1, z2, z3, z4), _, _, _, A, l, eta, g1, g2 = point
+        (g1 ties A to l, g2 ties A to eta).  The point's log-barrier sum
+        is not read."""
+        (z0, z1, z2, z3, z4), _, _, _, A, l, eta, g1, g2 = point[:9]
         k0, k1, k2, k3, k4 = self.cost_hess_diag
         r0, r1, _, _, r4 = self.range
         # The cost's curvature plus both box terms', per coordinate.
@@ -564,6 +603,27 @@ def _repair_to_interior(problem: _BarrierProblem,
     return anchor
 
 
+# Repaired starts by (bounds, constraints, *z), the only inputs of
+# _repair_to_interior, oldest first; a weight study or a calibration
+# repairs the same few starts for every problem it solves.
+_REPAIRED_STARTS: dict[tuple, tuple[float, ...]] = {}
+_MAX_REPAIRED_STARTS = 64
+
+
+def _repaired_start(problem: _BarrierProblem, z: list[float]) -> list[float]:
+    """``_repair_to_interior(problem, z)``, repaired once per bounds,
+    constraints and z and kept (at most _MAX_REPAIRED_STARTS, the oldest
+    dropped first); each call returns a new list."""
+    key = (problem.bounds, problem.cons, *z)
+    start = _REPAIRED_STARTS.get(key)
+    if start is None:
+        start = tuple(_repair_to_interior(problem, z))
+        if len(_REPAIRED_STARTS) >= _MAX_REPAIRED_STARTS:
+            del _REPAIRED_STARTS[next(iter(_REPAIRED_STARTS))]
+        _REPAIRED_STARTS[key] = start
+    return list(start)
+
+
 def _line_search(problem: _BarrierProblem, point: tuple, p: list[float],
                  mu: float) -> tuple | None:
     """Armijo backtracking from an evaluated point, starting from the
@@ -640,17 +700,16 @@ def _newton_direction(problem: _BarrierProblem, point: tuple,
     return [-g0, -g1, -g2, -g3, -g4]
 
 
-def _newton_stage(problem: _BarrierProblem, z: list[float], mu: float,
+def _newton_stage(problem: _BarrierProblem, point: tuple, mu: float,
                   tol: float) -> tuple[tuple, int]:
     """Minimize the barrier objective at fixed mu by Newton steps with
-    Armijo backtracking, from a strictly interior z.
+    Armijo backtracking, from a point evaluated at mu.
 
     Stops at the gradient tolerance, at the step cap, or when no step
     makes progress: the line search finds none, or the accepted one
     leaves z in place (near-active slacks are position-quantized at f64
     resolution).  Returns the evaluated iterate and the steps taken.
     """
-    point = problem.evaluate(z, mu)
     (z0, z1, z2, z3, z4), _, (g0, g1, g2, g3, g4) = point[:3]
     iterations = 0
 
@@ -672,7 +731,9 @@ def _newton_stage(problem: _BarrierProblem, z: list[float], mu: float,
 
 
 def _solve_from_z(problem: _BarrierProblem, z0: list[float]) -> SolveResult:
-    z = _repair_to_interior(problem, z0)
+    z = _repaired_start(problem, z0)
+    # Each stage starts where the last ended: only f and g change with mu.
+    point = problem.evaluate(z, 0.0)
     trace: list[float] = []  # mu, cost, stationarity, inner of each stage
     iterations = 0
     best_residual = math.inf
@@ -680,7 +741,8 @@ def _solve_from_z(problem: _BarrierProblem, z0: list[float]) -> SolveResult:
 
     for mu in _MU_SCHEDULE:
         inner_tol = max(0.3 * _KKT_TOLERANCE, 0.1 * mu)
-        point, inner = _newton_stage(problem, z, mu, inner_tol)
+        point, inner = _newton_stage(problem, problem.reweight(point, mu), mu,
+                                     inner_tol)
         z, _, g, cost = point[:4]
         stationarity = max(map(abs, g))
         # Primal multiplier estimates give lambda_i * slack_i = mu exactly,
