@@ -21,12 +21,17 @@ Each constraint's log slack is taken as log(g) - log(threshold), which
 stays finite for any positive threshold.
 
 The continuation runs the fixed schedule mu = 10^-k, k = 0..11.  A stage
-ends at a gradient of max(3e-9, mu/10), after 200 Newton steps, or when
-no step makes progress (the line search finds none, or the accepted one
+ends at a gradient of max(3e-9, mu), after 200 Newton steps, or when no
+step makes progress (the line search finds none, or the accepted one
 leaves z in place).  First-order optimality is measured with primal
 multiplier estimates lambda_i = mu / slack_i; the reported KKT residual is
 max(stationarity, mu), mu being the complementarity gap the barrier
-leaves against the original problem.  Once the best residual so far is at
+leaves against the original problem.  So a stage's residual cannot fall
+below its mu, and Newton steps that take the gradient below mu would only
+polish a point that the next stage moves anyway: intermediate centering
+need not be exact (Boyd & Vandenberghe, section 11.3.3).  The stages with
+mu <= 3e-9 keep the 3e-9 gradient, so the last stages, and what
+Converged means, are as before.  Once the best residual so far is at
 most 1e-4, a stage whose residual is above ten times the best ends the
 continuation: refinement is exhausted, and the best stage is reported, or
 polished as below.
@@ -740,7 +745,8 @@ def _solve_from_z(problem: _BarrierProblem, z0: list[float]) -> SolveResult:
     best_z = z
 
     for mu in _MU_SCHEDULE:
-        inner_tol = max(0.3 * _KKT_TOLERANCE, 0.1 * mu)
+        # Below mu, a smaller gradient cannot lower the residual.
+        inner_tol = max(0.3 * _KKT_TOLERANCE, mu)
         point, inner = _newton_stage(problem, problem.reweight(point, mu), mu,
                                      inner_tol)
         z, _, g, cost = point[:4]
