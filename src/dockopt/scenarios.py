@@ -161,7 +161,9 @@ def calibrate(target: Scenario, initial_coeff: ObjectiveCoefficients,
         # The floor (~1e-3) keeps every design variable actively priced;
         # below it the optimum in that variable is set by the barrier
         # instead of the surrogates, which is numerically fragile.
-        changes = {name: float(np.exp(np.clip(ti, -7.0, 6.0)))
+        # min/max on the scalar clips as np.clip does, nan included, at a
+        # fraction of its per-call cost.
+        changes = {name: float(np.exp(min(max(ti, -7.0), 6.0)))
                    for name, ti in zip(FREE_COEFFICIENTS, t)}
         return replace(pinned, **changes)
 

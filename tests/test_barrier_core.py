@@ -2,10 +2,13 @@
 against the surrogates, the fused evaluation against ``dockopt.objective``
 bit for bit and against the numpy reference, its interior test, the
 Hessian at an evaluated point against the one rebuilt from z and against
-central differences, the arrowhead Newton solve's backward error, the
+central differences, a stage's first point rebuilt at a new mu against
+the evaluated one, the arrowhead Newton solve's backward error, the
 steepest-descent fallback, the evaluation bounded by a line search's
 Armijo test and that line search against full backtracking, the repair to
-a strictly feasible start, and whole solves against an exact oracle."""
+a strictly feasible start and the repaired starts kept per problem shape,
+each stage's end against the stopping rule, and whole solves against an
+exact oracle."""
 
 import math
 
@@ -14,14 +17,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dockopt.solver
 from dockopt import (ConstraintSet, DesignBounds, DesignVector,
                      ObjectiveCoefficients, SolverStatus, WeightVector,
-                     default_bounds, solve, total_cost)
+                     default_bounds, reference_coefficients, solve,
+                     total_cost)
 from dockopt.objective import gradient_at, total_cost_arrays
-from dockopt.solver import (_MARGIN, InfeasibleProblemError,
+from dockopt.scenarios import builtin_scenarios
+from dockopt.solver import (_MARGIN, _MAX_INNER_ITERATIONS,
+                            _MAX_REPAIRED_STARTS, _MU_SCHEDULE,
+                            _REPAIRED_STARTS, InfeasibleProblemError,
                             _arrowhead_solve, _BarrierProblem, _line_search,
                             _newton_direction, _repair_to_interior,
-                            interior_anchor)
+                            _repaired_start, interior_anchor)
 from helpers import (ReferenceBarrier, backtracking_line_search,
                      exact_min_cost)
 
@@ -213,6 +221,26 @@ def test_hessian_at_an_evaluated_point_is_the_one_rebuilt_from_z(
     if trial is not None:
         assert problem.hessian(trial, mu) \
             == problem.hessian(_rebuilt(problem, trial[0]), mu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights, coefficients, instances(), barrier_weights,
+       st.sampled_from(_MU_SCHEDULE))
+def test_a_reweighted_point_is_the_evaluated_one(w, coeff, instance, mu,
+                                                 next_mu):
+    # a stage starts where the last ended, at the schedule's next mu
+    bounds, cons, z = instance
+    problem = _BarrierProblem(w, coeff, bounds, cons)
+    point = problem.evaluate(z, mu)
+    assume(point is not None)
+    assert repr(problem.reweight(point, next_mu)) \
+        == repr(problem.evaluate(z, next_mu))
+    # and from the point that a Newton line search accepts
+    trial = _line_search(problem, point, _newton_direction(problem, point, mu),
+                         mu)
+    if trial is not None:
+        assert repr(problem.reweight(trial, next_mu)) \
+            == repr(problem.evaluate(trial[0], next_mu))
 
 
 edge_values = st.sampled_from([0.0, 1.0, math.nan, 5e-324, 1.0 - EPS / 2])
@@ -435,6 +463,78 @@ def test_repair_reaches_the_interior_whenever_the_clipped_box_is_feasible(
     assert _interior(problem, _repair_to_interior(problem, start))
 
 
+def _outcome(repair, problem, start):
+    """repr of the repaired start, or the type of the error raised."""
+    try:
+        return repr(repair(problem, start))
+    except InfeasibleProblemError as exc:
+        return type(exc)
+
+
+starts = st.lists(st.floats(-1.0, 2.0), min_size=5, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights, coefficients, weights, coefficients, instances(), starts,
+       boxes, threshold_fractions, st.integers(0, 4), st.floats(-0.5, 0.5))
+def test_a_repaired_start_is_kept_per_bounds_constraints_and_start(
+        w, coeff, other_w, other_coeff, instance, start, other_bounds,
+        fraction, i, shift):
+    bounds, cons, _ = instance
+    calls = []
+
+    def counted(problem, z):
+        calls.append(1)
+        return _repair_to_interior(problem, z)
+
+    def cached(problem, z):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dockopt.solver, "_repair_to_interior", counted)
+            return _outcome(_repaired_start, problem, z)
+
+    _REPAIRED_STARTS.clear()
+    problem = _BarrierProblem(w, coeff, bounds, cons)
+    fresh = _outcome(_repair_to_interior, problem, start)
+    assert cached(problem, start) == fresh
+    if not isinstance(fresh, type):
+        # a kept start is copied out, never changed through a caller
+        _repaired_start(problem, start)[0] = math.nan
+    # other weights and coefficients: the kept start, not repaired again
+    other = _BarrierProblem(other_w, other_coeff, bounds, cons)
+    assert cached(other, start) == fresh
+    assert len(calls) == 1 + isinstance(fresh, type)
+    # other bounds, constraints or start: repaired afresh
+    other_start = list(start)
+    other_start[i] += shift
+    variants = [(_BarrierProblem(w, coeff, other_bounds, cons), start),
+                (_BarrierProblem(w, coeff, bounds, ConstraintSet(
+                    fraction * cons.volume_min, cons.tolerance_ratio_min)),
+                 start),
+                (_BarrierProblem(w, coeff, bounds, ConstraintSet(
+                    cons.volume_min, fraction * cons.tolerance_ratio_min)),
+                 start),
+                (problem, other_start)]
+    for variant, z in variants:
+        if (variant.bounds, variant.cons, z) == (bounds, cons, start):
+            continue
+        made = len(calls)
+        assert cached(variant, z) == _outcome(_repair_to_interior, variant, z)
+        assert len(calls) == made + 1
+
+
+def test_the_kept_repaired_starts_are_bounded():
+    _REPAIRED_STARTS.clear()
+    problem = _BarrierProblem(WeightVector(1, 1, 1, 1),
+                              ObjectiveCoefficients(), default_bounds(),
+                              ConstraintSet())
+    z_starts = [[0.5, 0.9, 0.5, 0.5, 0.01 * k] for k in range(1, 71)]
+    for z in z_starts:
+        assert _repaired_start(problem, z) == _repair_to_interior(problem, z)
+    assert len(_REPAIRED_STARTS) == _MAX_REPAIRED_STARTS
+    kept = [list(key[2:]) for key in _REPAIRED_STARTS]
+    assert kept == z_starts[-_MAX_REPAIRED_STARTS:]  # the oldest dropped
+
+
 def _anchor_from_the_problem(problem):
     """The repair anchor as built from a _BarrierProblem's own x(z), or
     None when the problem rejects it."""
@@ -481,3 +581,41 @@ def test_solve_converges_to_the_exact_optimum(w, coeff, instance):
     assert abs(J - best) <= 1e-6 * scale
     if min(max(s.stationarity, s.mu) for s in result.outer_trace) > 1e-8:
         assert abs(J - best) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(builtin_scenarios()), weights,
+       st.one_of(st.just(reference_coefficients()), coefficients))
+def test_a_stage_ends_once_its_residual_cannot_fall(scenario, w, coeff):
+    # A stage's residual is max(stationarity, mu): it steps only while its
+    # gradient is above max(3e-9, mu), and ends below that unless it hits
+    # the step cap or stalls, that is, its last line search finds no step
+    # or one that leaves z in place.
+    stage, search, searches = (dockopt.solver._newton_stage,
+                               dockopt.solver._line_search, [])
+
+    def recorded_stage(problem, point, mu, tol):
+        searches.append([])
+        return stage(problem, point, mu, tol)
+
+    def recorded_search(problem, point, p, mu):
+        trial = search(problem, point, p, mu)
+        searches[-1].append((point[0], max(map(abs, point[2])), trial))
+        return trial
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dockopt.solver, "_newton_stage", recorded_stage)
+        patch.setattr(dockopt.solver, "_line_search", recorded_search)
+        result = solve(w, coeff, scenario.bounds, scenario.constraints,
+                       scenario.x_init)
+    assert len(searches) == len(result.outer_trace)
+    for steps, traced in zip(searches, result.outer_trace):
+        mu, stationarity = traced.mu, traced.stationarity
+        assert all(gradient > max(3e-9, mu) for _, gradient, _ in steps)
+        if stationarity <= max(3e-9, mu):
+            if mu >= 3e-9:
+                assert max(stationarity, mu) == mu
+        elif traced.inner_iterations < _MAX_INNER_ITERATIONS:
+            z, _, trial = steps[-1]
+            assert trial is None or max(
+                abs(a - b) for a, b in zip(trial[0], z)) < 1e-15

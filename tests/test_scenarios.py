@@ -2,10 +2,13 @@
 
 import dataclasses
 import math
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import dockopt.scenarios
 from dockopt import (ObjectiveCoefficients, SolverSettings, WeightVector,
                      calibrate, multi_start_solve, reference_coefficients)
 from dockopt.scenarios import (FREE_COEFFICIENTS, Scenario, builtin_scenarios,
@@ -86,6 +89,43 @@ class TestCalibrate:
         for name, value in GOLDEN_150_COEFFICIENTS.items():
             assert getattr(outcome.coefficients, name) \
                 == pytest.approx(value, rel=1e-9)
+
+    def test_unpack_clips_as_np_clip_does(self, monkeypatch):
+        # log-coefficients below, at and above both ends of [-7, 6],
+        # inside it, infinite and nan, each unpacked by one evaluation
+        cases = [-math.inf, -1e300, -7.5, math.nextafter(-7.0, -math.inf),
+                 -7.0, math.nextafter(-7.0, 0.0), -3.25, -0.0, 0.0, 2.5,
+                 math.nextafter(6.0, 0.0), 6.0, math.nextafter(6.0, math.inf),
+                 6.5, 1e300, math.inf, math.nan]
+        n = len(FREE_COEFFICIENTS)
+        cases += [0.5] * (-len(cases) % n)
+        ts = [np.array(cases[i:i + n]) for i in range(0, len(cases), n)]
+        general = scenario_by_name("general")
+        unpacked = []
+
+        def evaluate_each(fun, t0, **kwargs):
+            for t in ts:
+                fun(t)
+
+        def recorded_replace(coeff, **changes):
+            if set(changes) == set(FREE_COEFFICIENTS):
+                unpacked.append(changes)  # before any validation
+                return coeff
+            return dataclasses.replace(coeff, **changes)
+
+        monkeypatch.setattr(dockopt.scenarios, "minimize", evaluate_each)
+        monkeypatch.setattr(dockopt.scenarios, "replace", recorded_replace)
+        monkeypatch.setattr(dockopt.scenarios, "multi_start_solve",
+                            lambda *args: SimpleNamespace(
+                                x_star=general.expected_x_star))
+        calibrate(general, ObjectiveCoefficients(), budget=len(ts),
+                  settings=FAST)
+        assert len(unpacked) == len(ts)
+        for t, changes in zip(ts, unpacked):
+            for name, ti in zip(FREE_COEFFICIENTS, t):
+                expected = float(np.exp(np.clip(ti, -7.0, 6.0)))
+                assert struct.pack("<d", changes[name]) \
+                    == struct.pack("<d", expected), (name, ti)
 
     def test_validation(self):
         general = scenario_by_name("general")

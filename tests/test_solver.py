@@ -128,6 +128,31 @@ class TestSolve:
             assert result.status is SolverStatus.Converged
             assert min(cons.values(result.x_star)) >= -1e-9
 
+    def test_solves_of_one_problem_shape_repair_each_start_once(
+            self, monkeypatch):
+        # the repair reads the bounds, the constraints and the start only
+        repair, calls = dockopt.solver._repair_to_interior, []
+
+        def counted(problem, z):
+            calls.append(list(z))
+            return repair(problem, z)
+
+        dockopt.solver._REPAIRED_STARTS.clear()
+        monkeypatch.setattr(dockopt.solver, "_repair_to_interior", counted)
+        first = solve(W1111, ONES, BOUNDS, CONS, DEFAULT_X_INIT)
+        again = solve(WeightVector(2, 1, 1.2, 2), reference_coefficients(),
+                      BOUNDS, CONS, DEFAULT_X_INIT)
+        assert len(calls) == 1
+        multi_start_solve(W1111, ONES, BOUNDS, CONS, FAST)
+        made = len(calls)
+        multi_start_solve(WeightVector(1, 2, 1, 1), ONES, BOUNDS, CONS, FAST)
+        assert made > 1 and len(calls) == made
+        # the answers are those of a fresh repair
+        dockopt.solver._REPAIRED_STARTS.clear()
+        assert repr(solve(W1111, ONES, BOUNDS, CONS, DEFAULT_X_INIT)) \
+            == repr(first)
+        assert first.x_star != again.x_star
+
     def test_iteration_cap_reports_limit(self, monkeypatch):
         monkeypatch.setattr(dockopt.solver, "_MU_SCHEDULE", (1.0,))
         result = solve(W1111, ONES, BOUNDS, CONS, DEFAULT_X_INIT)
