@@ -498,9 +498,8 @@ class _BarrierProblem:
         """Exact barrier Hessian in z coordinates at a point from
         ``evaluate``, as an arrowhead: the 5 diagonal entries, then the
         (A, l) and (A, eta) entries, the only nonzero ones off the diagonal
-        (g1 ties A to l, g2 ties A to eta).  The point's log-barrier sum
-        is not read."""
-        (z0, z1, z2, z3, z4), _, _, _, A, l, eta, g1, g2 = point[:9]
+        (g1 ties A to l, g2 ties A to eta)."""
+        (z0, z1, z2, z3, z4), _, _, _, A, l, eta, g1, g2, _ = point
         k0, k1, k2, k3, k4 = self.cost_hess_diag
         r0, r1, _, _, r4 = self.range
         # The cost's curvature plus both box terms', per coordinate.

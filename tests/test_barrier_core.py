@@ -98,10 +98,10 @@ def _interior(problem, z):
 
 
 def _rebuilt(problem, z):
-    """A point for ``hessian`` rebuilt from z alone; the value, gradient
-    and cost slots are not read by the Hessian."""
+    """A point for ``hessian`` rebuilt from z alone; the value, gradient,
+    cost and log-barrier slots are not read by the Hessian."""
     A, l, _, _, eta = x = problem.x_of_z(z)
-    return (z, None, None, None, A, l, eta, *problem.constraints(x))
+    return (z, None, None, None, A, l, eta, *problem.constraints(x), None)
 
 
 ARROWHEAD = np.eye(5, dtype=bool)
