@@ -623,7 +623,7 @@ def _repaired_start(problem: _BarrierProblem, z: list[float]) -> list[float]:
     if start is None:
         start = tuple(_repair_to_interior(problem, z))
         if len(_REPAIRED_STARTS) >= _MAX_REPAIRED_STARTS:
-            del _REPAIRED_STARTS[next(iter(_REPAIRED_STARTS))]
+            _REPAIRED_STARTS.pop(next(iter(_REPAIRED_STARTS)), None)
         _REPAIRED_STARTS[key] = start
     return list(start)
 

@@ -449,11 +449,12 @@ def test_line_search_accepts_the_point_of_full_backtracking(w, coeff, instance,
 # strictly inside the box that _repair_to_interior clips to (margin 1e-3)
 clipped_points = st.lists(st.floats(1e-3, 1.0 - 1e-3, exclude_min=True,
                                     exclude_max=True), min_size=5, max_size=5)
+# a start for the repair, in the box, on it or outside it
+starts = st.lists(st.floats(-1.0, 2.0), min_size=5, max_size=5)
 
 
 @settings(max_examples=150, deadline=None)
-@given(instances(clipped_points),
-       st.lists(st.floats(-1.0, 2.0), min_size=5, max_size=5))
+@given(instances(clipped_points), starts)
 def test_repair_reaches_the_interior_whenever_the_clipped_box_is_feasible(
         instance, start):
     bounds, cons, z = instance
@@ -469,9 +470,6 @@ def _outcome(repair, problem, start):
         return repr(repair(problem, start))
     except InfeasibleProblemError as exc:
         return type(exc)
-
-
-starts = st.lists(st.floats(-1.0, 2.0), min_size=5, max_size=5)
 
 
 @settings(max_examples=100, deadline=None)
