@@ -20,41 +20,34 @@ constraint thresholds, so mu acts uniformly across heterogeneous units.
 Each constraint's log slack is taken as log(g) - log(threshold), which
 stays finite for any positive threshold.
 
-The continuation runs the fixed schedule mu = 10^-k, k = 0..11.  A stage
-ends at a gradient of max(3e-9, mu), after 200 Newton steps, or when no
-step makes progress (the line search finds none, or the accepted one
-leaves z in place).  First-order optimality is measured with primal
-multiplier estimates lambda_i = mu / slack_i; the reported KKT residual is
+The continuation runs the schedule mu = 10^-k, k = 0..11.  A stage ends
+at a gradient of max(3e-9, mu), after 200 Newton steps, or when no step
+makes progress (the line search finds none, or the accepted one leaves z
+in place).  First-order optimality is measured with primal multiplier
+estimates lambda_i = mu / slack_i; a stage's KKT residual is
 max(stationarity, mu), mu being the complementarity gap the barrier
 leaves against the original problem.  So a stage's residual cannot fall
 below its mu, and Newton steps that take the gradient below mu would only
 polish a point that the next stage moves anyway: intermediate centering
-need not be exact (Boyd & Vandenberghe, section 11.3.3).  The stages with
-mu <= 3e-9 keep the 3e-9 gradient, so the last stages, and what
-Converged means, are as before.  Once the best residual so far is at
-most 1e-4, a stage whose residual is above ten times the best ends the
-continuation: refinement is exhausted, and the best stage is reported, or
-polished as below.
+need not be exact (Boyd & Vandenberghe, section 11.3.3).  Once the best
+residual so far is at most 1e-4, a stage whose residual is above ten
+times the best ends the continuation: refinement is exhausted.
 
-A solve is Converged when a barrier stage's residual is at most 1e-8, or
-when a verified polish finishes it.  Float64 quantisation of z next to
-strongly active faces can stall the continuation just above the
-tolerance (about 5% of the benchmark's sweep points, with best residuals
-between 1e-8 and 1e-6).  When the best stage's residual lies in
-(1e-8, 1e-4], ``_polish`` solves the problem exactly instead: J is
-separable, u and e minimise alone, l and eta follow A in closed form
-through g1 and g2, and the optimal A is the root of the reduced
-derivative, found by Newton steps from the barrier's A inside a
+A solve is Converged only when ``_polish`` certifies it.  Whenever the
+best stage's residual is at most 1e-4, the polish solves the problem
+exactly: J is separable, u and e minimise alone, l and eta follow A in
+closed form through g1 and g2, and the optimal A is the root of the
+reduced derivative, found by Newton steps from the barrier's A inside a
 bisection bracket.  The exact point is accepted only if it is feasible,
 its explicit multipliers for the 10 box faces, g1 and g2 (from
 stationarity) are >= -1e-8, its free components are stationary to 1e-8,
-and its J is not above the barrier's; it is then reported with its own
-residual and active set, and the barrier's iterations and trace.
-Otherwise, and whenever the best residual is above 1e-4 (the barrier
-itself failed: a truncated schedule, a line search that finds no step),
-the barrier's best stage is reported as IterationLimit.  A solve the
-barrier converges is never polished, so its answer is the barrier's bit
-for bit.
+and its J is at most the barrier's plus 4 ulp of max(1, |J|), since the
+exact J can round that far above a tightly converged barrier's.  It is
+reported with its own residual and active set, and the barrier's
+iterations and trace.  Otherwise, and whenever the best residual is above
+1e-4 (the barrier itself failed: a truncated schedule, a line search
+that finds no step), the barrier's best stage is reported as
+IterationLimit.
 
 ``SolveResult.outer_trace`` is a ``BarrierTrace``: each stage's mu, cost
 and stationarity as float64 and its inner count as uint16, 26 bytes per
@@ -166,20 +159,15 @@ _SLACK_NAMES = (*(f"{n}_lower" for n in _VAR_NAMES),
 _ACTIVE_SETS: dict[tuple[str, ...], tuple[str, ...]] = {}
 _MIN_STEP = 1e-16
 _ACTIVE_SLACK = 1e-6
-# The polish finishes a continuation whose best stage's KKT residual is
-# above the tolerance but within this: a stall next to active faces ends
-# between 1e-8 and 1e-6.  A larger residual means the barrier itself failed
-# (a truncated schedule, a line search that finds no step), and that is
-# reported as IterationLimit.
+# The polish certifies every continuation whose best stage's KKT residual
+# is within this: a converged one, or one stalled next to active faces
+# (between 1e-8 and 1e-6).  A larger residual means the barrier itself
+# failed (a truncated schedule, a line search that finds no step), and
+# that is reported as IterationLimit.
 _POLISH_RESIDUAL = 1e-4
 _MAX_ROOT_STEPS = 100
-# Barrier weights of the continuation, mu = 10^-k for k = 0..11, as
-# repeated multiplication by 0.1 rounds them, restarted at exactly 1e-8 (the
-# KKT tolerance), so the stage that can meet the tolerance has mu <= 1e-8.
-_MU_SCHEDULE = (1.0, 0.1, 0.010000000000000002, 0.0010000000000000002,
-                0.00010000000000000003, 1.0000000000000004e-05,
-                1.0000000000000004e-06, 1.0000000000000005e-07, 1e-08, 1e-09,
-                1.0000000000000002e-10, 1.0000000000000003e-11)
+# Barrier weights of the continuation, mu = 10^-k for k = 0..11.
+_MU_SCHEDULE = tuple(10.0 ** -k for k in range(12))
 _KKT_TOLERANCE = 1e-8
 _MAX_INNER_ITERATIONS = 200
 _ARMIJO_C = 1e-4
@@ -349,12 +337,13 @@ class BarrierTrace(Sequence):
 class SolveResult:
     """One solve's outcome.
 
-    ``x_star`` is the barrier's best iterate, or the verified polish of a
-    stalled continuation (see the module docstring); ``kkt_residual`` is
-    that point's KKT residual and ``active_set`` its active faces by name
-    (``A_lower`` .. ``eta_upper``, ``volume_min``, ``tolerance_ratio_min``).
+    ``x_star`` is the certified exact optimum if ``status`` is Converged,
+    else the barrier's best iterate (see the module docstring);
+    ``kkt_residual`` is that point's KKT residual and ``active_set`` its
+    active faces by name (``A_lower`` .. ``eta_upper``, ``volume_min``,
+    ``tolerance_ratio_min``).
     ``iterations`` counts the barrier's Newton steps and ``outer_trace``
-    holds its stages; a polish keeps both.
+    holds its stages.
     """
 
     x_star: DesignVector
@@ -759,27 +748,23 @@ def _solve_from_z(problem: _BarrierProblem, z0: list[float]) -> SolveResult:
             best_residual, best_z = residual, z
         if best_residual <= _POLISH_RESIDUAL \
                 and residual > 10.0 * best_residual:
-            break  # refinement exhausted: keep, or polish, the best stage
+            break  # refinement exhausted: polish the best stage
 
     x = problem.x_of_z(best_z)
     x_star = DesignVector(*x)
-    slacks = problem.scaled_slacks(best_z)
-    active = _active_set(s < _ACTIVE_SLACK for s in slacks)
     result = SolveResult(
         x_star=x_star,
         objective=total_cost(x_star, problem.w, problem.coeff),
         kkt_residual=best_residual,
         constraint_values=problem.constraints(x),
-        active_set=active,
+        active_set=_active_set(s < _ACTIVE_SLACK
+                               for s in problem.scaled_slacks(best_z)),
         iterations=iterations,
-        status=(SolverStatus.Converged if best_residual <= _KKT_TOLERANCE
-                else SolverStatus.IterationLimit),
+        status=SolverStatus.IterationLimit,
         outer_trace=BarrierTrace(trace),
     )
-    if _KKT_TOLERANCE < best_residual <= _POLISH_RESIDUAL:
-        polished = _polish(problem, best_z, result)
-        if polished is not None:
-            return polished
+    if best_residual <= _POLISH_RESIDUAL:
+        return _polish(problem, best_z, result) or result
     return result
 
 
@@ -792,7 +777,7 @@ def _active_set(faces: Iterable[bool]) -> tuple[str, ...]:
 
 def _polish(problem: _BarrierProblem, z: list[float],
             barrier: SolveResult) -> SolveResult | None:
-    """Finish a stalled continuation with the exact optimum of the reduced
+    """Certify a continuation with the exact optimum of the reduced
     problem, or return None if that point fails verification.
 
     Solve, with dJ/dx_i = quad_i*x_i - lin_i (J is separable; quad = 2q
@@ -808,8 +793,8 @@ def _polish(problem: _BarrierProblem, z: list[float],
     that x* meets.  Verify: x* is in the box and meets g1 >= 0 and
     g2 >= 0, every multiplier (from stationarity, in the barrier's scaled
     units) is >= -1e-8, the free components' stationarity is <= 1e-8, and
-    J is not above the barrier's.  The residual reported is the largest
-    of those violations.
+    J is at most the barrier's plus 4 ulp of max(1, |J|).  The residual
+    reported is the largest of those violations.
     """
     lo, hi = problem.lb, problem.bounds.upper.as_tuple()
     quad, lin, r = problem.q2, problem.b, problem.range
@@ -930,8 +915,9 @@ def _polish(problem: _BarrierProblem, z: list[float],
     residual = max(0.0, *violations)
     x_star = DesignVector(*x)
     objective = total_cost(x_star, problem.w, problem.coeff)
+    J = barrier.objective.J
     if not (residual <= _KKT_TOLERANCE
-            and objective.J <= barrier.objective.J):
+            and objective.J <= J + 4.0 * math.ulp(max(1.0, abs(J)))):
         return None
     return SolveResult(
         x_star=x_star, objective=objective, kkt_residual=residual,

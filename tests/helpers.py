@@ -1,9 +1,12 @@
 """Shared test oracles: brute-force grid search, an exact reduced solve,
-numerical quadrature and a numpy reference of the solver's barrier.
+an active-set enumeration, numerical quadrature and a numpy reference of
+the solver's barrier.
 
 These deliberately avoid the solver's machinery: the grid oracle scans an
 exhaustive feasible lattice for the lowest cost, the exact oracle bisects
-the derivative of the cost reduced to the frontal area, the quadrature
+the derivative of the cost reduced to the frontal area, the enumeration
+solves the stationarity equations of every combination of active faces,
+the quadrature
 oracle integrates sin(phi) numerically instead of using the closed form,
 the reference barrier evaluates the value, gradient and Hessian with
 numpy arrays instead of the solver's plain-float code, and the reference
@@ -11,6 +14,7 @@ line search evaluates every trial in full before its Armijo test.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -97,6 +101,95 @@ def exact_min_cost(w: WeightVector, coeff: ObjectiveCoefficients,
             left = mid
     return min(float(total_cost_arrays(*design(A), w, coeff))
                for A in (left, right))
+
+
+def enumerated_min_cost(w: WeightVector, coeff: ObjectiveCoefficients,
+                        bounds: DesignBounds, cons: ConstraintSet) -> float:
+    """Lowest J over the feasible set, by enumerating every combination of
+    active faces among g1, g2 and the A, l and eta bounds.
+
+    On (A, l, eta), with g2 written as eta - R*A >= 0, the Lagrangian is
+    f - m1*(A*l - V) - m2*(eta - R*A), where f = sum(c2_i*x_i**2 - c1_i*x_i)
+    over the three and u and e minimise alone at clip(c1/2c2, box).  Each
+    combination fixes some variables: a bound fixes its variable, and an
+    active g1 (g2) whose l (eta) sits on a bound fixes A at V/l (eta/R).  A
+    combination that fixes A twice is skipped: a subset of its faces gives
+    the same point.  Otherwise l follows A as its bound, V/A (g1 active)
+    or its free minimiser, and eta as its bound, R*A (g2 active) or its
+    free minimiser.  An A left free solves its stationarity equation with
+    the multipliers read off the l and eta equations; with g1 active,
+    times A**3, that is the quartic
+    (2a + 2c*R**2)*A**4 - (b + R*d)*A**3 + k*V*A - 2h*V**2 = 0, with
+    a, b (h, k; c, d) the quadratic and linear constants of A (l; eta) and
+    the R terms only where g2 holds a free eta.  Every feasible candidate
+    is kept, and the least J among them is returned: the problem is
+    convex, so its minimiser is a stationary point of some combination.
+    """
+    c, V, R = coeff, cons.volume_min, cons.tolerance_ratio_min
+    hull = c.kA + c.kl
+    price = c.ku + c.ke + c.k_eta
+    drag = c.au + c.ae + c.a_eta
+    reach = c.bA + c.bl + c.bu
+    a, h = w.p * c.kA / c.A_max**2 / hull, w.p * c.kl / c.l_max**2 / hull
+    b, k = w.s * c.bA / c.A_max / reach, w.s * c.bl / c.l_max / reach
+    cu, ce = w.q * c.ku / price, w.q * c.ke / price
+    c_eta = w.q * c.k_eta / price
+    du = w.r * c.au / drag + w.s * c.bu / reach
+    de, d_eta = w.r * c.ae / drag, w.r * c.a_eta / drag
+    lo, hi = bounds.lower.as_tuple(), bounds.upper.as_tuple()
+    u = min(max(du / (2.0 * cu), lo[2]), hi[2])
+    e = min(max(de / (2.0 * ce), lo[3]), hi[3])
+
+    def polished(poly, A):
+        # Newton steps on the polynomial from numpy's eigenvalue root
+        slope = np.polyder(poly)
+        for _ in range(8):
+            d = np.polyval(slope, A)
+            if d == 0.0:
+                break
+            A -= np.polyval(poly, A) / d
+        return float(A)
+
+    best = math.inf
+    for on_A, on_l, on_eta, g1, g2 in itertools.product(
+            (None, lo[0], hi[0]), (None, lo[1], hi[1]),
+            (None, lo[4], hi[4]), (False, True), (False, True)):
+        fixes = [] if on_A is None else [on_A]
+        if g1 and on_l is not None:
+            fixes.append(V / on_l)
+        if g2 and on_eta is not None:
+            if R == 0.0:
+                continue  # eta = 0 is the bound itself
+            fixes.append(on_eta / R)
+        if len(fixes) > 1:
+            continue
+        coupled = g2 and on_eta is None
+        if fixes:
+            areas = fixes
+        elif g1:
+            poly = [2.0 * a + (2.0 * c_eta * R * R if coupled else 0.0),
+                    -(b + (R * d_eta if coupled else 0.0)), 0.0, k * V,
+                    -2.0 * h * V * V]
+            areas = [polished(poly, r.real) for r in np.roots(poly)
+                     if abs(r.imag) <= 1e-9 * abs(r) and r.real > 0.0]
+        else:
+            areas = [(b + (R * d_eta if coupled else 0.0))
+                     / (2.0 * a + (2.0 * c_eta * R * R if coupled else 0.0))]
+        for A in areas:
+            if not A > 0.0:
+                continue
+            l = on_l if on_l is not None else V / A if g1 else k / (2.0 * h)
+            eta = (on_eta if on_eta is not None else R * A if g2
+                   else d_eta / (2.0 * c_eta))
+            x = (A, l, u, e, eta)
+            if not (all(low - 1e-14 * max(1.0, abs(low)) <= xi
+                        <= high + 1e-14 * max(1.0, abs(high))
+                        for low, xi, high in zip(lo, x, hi))
+                    and A * l - V >= -1e-14 * V
+                    and eta / A - R >= -1e-14 * R):
+                continue
+            best = min(best, float(total_cost_arrays(*x, w, coeff)))
+    return best
 
 
 def grid_resolution_slack(w: WeightVector, coeff: ObjectiveCoefficients,

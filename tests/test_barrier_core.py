@@ -7,8 +7,9 @@ the evaluated one, the arrowhead Newton solve's backward error, the
 steepest-descent fallback, the evaluation bounded by a line search's
 Armijo test and that line search against full backtracking, the repair to
 a strictly feasible start and the repaired starts kept per problem shape,
-each stage's end against the stopping rule, and whole solves against an
-exact oracle."""
+each stage's end against the stopping rule, and whole solves against two
+exact oracles: a bisection on the reduced derivative and an enumeration of
+active faces."""
 
 import math
 
@@ -31,7 +32,7 @@ from dockopt.solver import (_MARGIN, _MAX_INNER_ITERATIONS,
                             _newton_direction, _repair_to_interior,
                             _repaired_start, interior_anchor)
 from helpers import (ReferenceBarrier, backtracking_line_search,
-                     exact_min_cost)
+                     enumerated_min_cost, exact_min_cost)
 
 EPS = np.finfo(float).eps
 
@@ -564,21 +565,33 @@ def test_interior_anchor_needs_only_bounds_and_constraints(bounds, a, b):
         assert _interior(problem, expected)
 
 
-@settings(max_examples=150, deadline=None)
-@given(weights, coefficients, instances(clipped_points))
-def test_solve_converges_to_the_exact_optimum(w, coeff, instance):
-    # a solve whose best barrier stage misses the KKT tolerance was
-    # finished by the polish, which solves the reduced problem exactly
+def _solved(w, coeff, instance):
     bounds, cons, z = instance
     x_init = DesignVector(*(lo + zi * (hi - lo) for lo, hi, zi in zip(
         bounds.lower.as_tuple(), bounds.upper.as_tuple(), z)))
     result = solve(w, coeff, bounds, cons, x_init)
     assert result.status is SolverStatus.Converged
-    J, best = result.objective.J, exact_min_cost(w, coeff, bounds, cons)
-    scale = max(1.0, abs(J))
-    assert abs(J - best) <= 1e-6 * scale
-    if min(max(s.stationarity, s.mu) for s in result.outer_trace) > 1e-8:
-        assert abs(J - best) <= 1e-12 * scale
+    assert result.kkt_residual <= 1e-8
+    return result.objective.J
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights, coefficients, instances(clipped_points))
+def test_solve_converges_to_the_exact_optimum(w, coeff, instance):
+    # every Converged answer is the polish's certified exact optimum
+    J = _solved(w, coeff, instance)
+    bounds, cons, _ = instance
+    best = exact_min_cost(w, coeff, bounds, cons)
+    assert abs(J - best) <= 1e-12 * max(1.0, abs(J))
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights, coefficients, instances(clipped_points))
+def test_solve_matches_the_active_set_enumeration(w, coeff, instance):
+    J = _solved(w, coeff, instance)
+    bounds, cons, _ = instance
+    best = enumerated_min_cost(w, coeff, bounds, cons)
+    assert abs(J - best) <= 1e-12 * max(1.0, abs(J))
 
 
 @settings(max_examples=60, deadline=None)

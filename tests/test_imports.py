@@ -120,17 +120,24 @@ def test_latin_hypercube_equals_scipy_qmc_bit_for_bit():
             assert starts.tobytes() == expected.tobytes(), (n, seed)
 
 
-def test_calibrate_calls_the_module_minimize(monkeypatch):
+def test_calibrate_is_one_least_squares_fit(monkeypatch):
+    import scipy.optimize
+
     calls = []
-    original = dockopt.scenarios.minimize
+    original = scipy.optimize.least_squares
 
     def recording(fun, x0, **kwargs):
-        calls.append(kwargs["method"])
+        calls.append(kwargs)
         return original(fun, x0, **kwargs)
 
-    monkeypatch.setattr(dockopt.scenarios, "minimize", recording)
+    def unused(*args, **kwargs):
+        raise AssertionError("calibrate called minimize")
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", recording)
+    monkeypatch.setattr(dockopt.scenarios, "minimize", unused)
     result = calibrate(scenario_by_name("general"), ObjectiveCoefficients(),
                        budget=3,
                        settings=SolverSettings(multistart_count=2, seed=0))
-    assert calls and set(calls) == {"Nelder-Mead"}
+    assert calls == [{"jac": "2-point", "bounds": (-7.0, 6.0),
+                      "method": "trf"}]
     assert result.evaluations == 3

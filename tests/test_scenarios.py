@@ -91,6 +91,8 @@ class TestCalibrate:
                 == pytest.approx(value, rel=1e-9)
 
     def test_unpack_clips_as_np_clip_does(self, monkeypatch):
+        import scipy.optimize
+
         # log-coefficients below, at and above both ends of [-7, 6],
         # inside it, infinite and nan, each unpacked by one evaluation
         cases = [-math.inf, -1e300, -7.5, math.nextafter(-7.0, -math.inf),
@@ -106,6 +108,7 @@ class TestCalibrate:
         def evaluate_each(fun, t0, **kwargs):
             for t in ts:
                 fun(t)
+            return SimpleNamespace(x=t0)
 
         def recorded_replace(coeff, **changes):
             if set(changes) == set(FREE_COEFFICIENTS):
@@ -113,7 +116,7 @@ class TestCalibrate:
                 return coeff
             return dataclasses.replace(coeff, **changes)
 
-        monkeypatch.setattr(dockopt.scenarios, "minimize", evaluate_each)
+        monkeypatch.setattr(scipy.optimize, "least_squares", evaluate_each)
         monkeypatch.setattr(dockopt.scenarios, "replace", recorded_replace)
         monkeypatch.setattr(dockopt.scenarios, "multi_start_solve",
                             lambda *args: SimpleNamespace(
@@ -126,6 +129,45 @@ class TestCalibrate:
                 expected = float(np.exp(np.clip(ti, -7.0, 6.0)))
                 assert struct.pack("<d", changes[name]) \
                     == struct.pack("<d", expected), (name, ti)
+
+    @pytest.mark.parametrize("name", ["e", "eta"])
+    def test_a_zero_target_component_is_fitted_on_its_box_range(self, name):
+        # a relative miss is undefined at 0; that component's miss is
+        # scaled by its box range instead
+        general = scenario_by_name("general")
+        target = dataclasses.replace(
+            general, expected_x_star=dataclasses.replace(
+                general.expected_x_star, **{name: 0.0}))
+        outcome = calibrate(target, ObjectiveCoefficients(), budget=12,
+                            settings=FAST)
+        assert math.isfinite(outcome.residual)
+        assert outcome.evaluations == 12
+
+    def test_every_solve_counts_against_the_budget(self, monkeypatch):
+        solves = []
+        inner = dockopt.scenarios.multi_start_solve
+
+        def counted(*args):
+            solves.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(dockopt.scenarios, "multi_start_solve", counted)
+        general, ones = scenario_by_name("general"), ObjectiveCoefficients()
+        # a start below the e^-7 floor is clipped onto it
+        low = ObjectiveCoefficients(kl=0.0, ke=1e-300)
+        self_target = dataclasses.replace(general, expected_x_star=inner(
+            general.weights, ones, general.bounds, general.constraints,
+            FAST).x_star)
+        # budgets 1 to 9 end inside the first Jacobian or at the first
+        # step, and the self-consistent fit ends on its own
+        for target, coeff, budget, spent in (
+                *((general, ones, b, True) for b in range(1, 10)),
+                (general, low, 3, True), (general, ones, 40, True),
+                (self_target, ones, 40, False)):
+            solves.clear()
+            outcome = calibrate(target, coeff, budget=budget, settings=FAST)
+            assert outcome.evaluations == len(solves) <= budget
+            assert (outcome.evaluations == budget) is spent
 
     def test_validation(self):
         general = scenario_by_name("general")
@@ -209,13 +251,37 @@ def test_reference_coefficients_regenerate_by_recipe():
 
 
 # Frozen output of the budget-150 calibration recipe above.
-GOLDEN_150_RESIDUAL = 1.115640024995412
+GOLDEN_150_RESIDUAL = 0.00161110025543915
 GOLDEN_150_COEFFICIENTS = {
-    "kl": 0.8986077595214063,
-    "ke": 0.9814663966802728,
-    "k_eta": 1.0042051896950108,
-    "ae": 1.0218297805936951,
-    "a_eta": 1.0645009868529922,
-    "bl": 1.1222489084530622,
-    "bu": 0.9108237882631842,
+    "kl": 0.0010663161798095116,
+    "ke": 0.0010479826540784254,
+    "k_eta": 0.0010139448058210695,
+    "ae": 0.0012794258751180072,
+    "a_eta": 0.0015422446484603133,
+    "bl": 0.0015547870801478688,
+    "bu": 0.04112844363688072,
 }
+
+
+def test_area_on_the_tolerance_ratio_face_is_the_closed_form():
+    # With g2 the only active face among g1, g2 and the A, l and eta
+    # bounds, eta = R*A, l leaves A's equation, and A* minimises
+    # (p*alpha + q*delta*R^2)*A^2 - (s*beta + r*R*gamma)*A.  The low-cost
+    # optimum on the reference coefficients is such a case.
+    low_cost = scenario_by_name("low-cost")
+    c, w = reference_coefficients(), low_cost.weights
+    result = multi_start_solve(w, c, low_cost.bounds, low_cost.constraints,
+                               FAST)
+    assert result.converged
+    coupled = {f"{name}_{side}" for name in ("A", "l", "eta")
+               for side in ("lower", "upper")} | {"volume_min",
+                                                  "tolerance_ratio_min"}
+    assert coupled & set(result.active_set) == {"tolerance_ratio_min"}
+    R = low_cost.constraints.tolerance_ratio_min
+    alpha = c.kA / (c.A_max**2 * (c.kA + c.kl))
+    beta = c.bA / (c.A_max * (c.bA + c.bl + c.bu))
+    gamma = c.a_eta / (c.au + c.ae + c.a_eta)
+    delta = c.k_eta / (c.ku + c.ke + c.k_eta)
+    area = (w.s * beta + w.r * R * gamma) \
+        / (2.0 * (w.p * alpha + w.q * delta * R * R))
+    assert result.x_star.A == pytest.approx(area, rel=1e-12, abs=0.0)

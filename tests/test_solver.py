@@ -215,6 +215,15 @@ class TestSolve:
         assert 1e-8 < result.kkt_residual < 1e-6
         assert "u_upper" in result.active_set
 
+    def test_only_a_certified_solve_converges(self, monkeypatch):
+        # a barrier that meets the KKT tolerance on its own still needs
+        # the polish's certificate
+        monkeypatch.setattr(dockopt.solver, "_polish",
+                            lambda *args, **kwargs: None)
+        result = solve(W1111, ONES, BOUNDS, CONS, DEFAULT_X_INIT)
+        assert result.kkt_residual <= 1e-8
+        assert result.status is SolverStatus.IterationLimit
+
     def test_barrier_path_cost_is_monotone(self):
         for scenario in builtin_scenarios():
             result = solve(scenario.weights, ONES, scenario.bounds,
