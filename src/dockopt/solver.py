@@ -38,24 +38,28 @@ best stage's residual is at most 1e-4, the polish solves the problem
 exactly: J is separable, u and e minimise alone, l and eta follow A in
 closed form through g1 and g2, and the optimal A is the root of the
 reduced derivative, found by Newton steps from the barrier's A inside a
-bisection bracket.  The exact point is accepted only if it is feasible,
-its explicit multipliers for the 10 box faces, g1 and g2 (from
-stationarity) are >= -1e-8, its free components are stationary to 1e-8,
-and its J is at most the barrier's plus 4 ulp of max(1, |J|), since the
-exact J can round that far above a tightly converged barrier's.  It is
-reported with its own residual and active set, and the barrier's
-iterations and trace.  Otherwise, and whenever the best residual is above
-1e-4 (the barrier itself failed: a truncated schedule, a line search
-that finds no step), the barrier's best stage is reported as
-IterationLimit.
+bisection bracket, bisecting where the reduced curvature is not positive.
+The exact point is accepted only if it is feasible, its explicit
+multipliers for the 10 box faces, g1 and g2 (from stationarity) are
+>= -1e-8, its free components are stationary to 1e-8, and its J is at
+most the barrier's plus 4 ulp of max(1, |J|), since the exact J can round
+that far above a tightly converged barrier's.  The barrier's J is
+computed at its best stage with ``total_cost``'s expressions, so it is
+that function's float.  The certified point is reported with its own
+residual and active set, and the barrier's iterations and trace.
+Otherwise, and whenever the best residual is above 1e-4 (the barrier
+itself failed: a truncated schedule, a line search that finds no step),
+the barrier's best stage is reported as IterationLimit.  Each solve
+builds one SolveResult: the barrier's is built only when it is the
+answer.
 
 ``SolveResult.outer_trace`` is a ``BarrierTrace``: each stage's mu, cost
 and stationarity as float64 and its inner count as uint16, 26 bytes per
 stage in one ``bytes`` object, read back as ``BarrierStage`` objects.
-Results with the same active set share one tuple of its names.  A kept
-result takes about 1.0 KB (tracemalloc, over a weight sweep), against
-1.1 KB with the trace in an ``array('d')`` and 2.1 KB with a tuple of
-stage objects.
+Results with the same active set share one tuple of its names, made once
+per process.  A kept result takes 957 B (tracemalloc, over a 50-point
+weight sweep whose active sets were met before), against 1.1 KB with the
+trace in an ``array('d')`` and 2.1 KB with a tuple of stage objects.
 
 The barrier is strictly convex on the interior for mu > 0 (Boyd &
 Vandenberghe, Convex Optimization, sections 3.1 and 11.2):
@@ -97,26 +101,34 @@ longer used here; it stays only because bench/tracing.py reads and
 restores it.  Importing this module and calling ``solve`` load neither
 scipy nor numpy.
 
-The solve loop works on plain Python floats: points, gradients and
-directions are lists of 5 floats and the Hessian is its 5 diagonal
-entries plus the two couplings, evaluated with ``math.log``/``math.log1p``.
-On vectors this short, numpy's per-call overhead costs far more than the
-arithmetic, and so does the per-element bytecode of ``zip``, ``map`` and
-comprehensions: the Hessian, the Newton direction's descent test, the line
-search, the stage's exit tests and the repair's segment are written out on
-the five scalars, with the expressions, in the order, that a loop over
-them would evaluate.
+The solve loop works on plain Python floats, evaluated with
+``math.log``/``math.log1p``.  On vectors this short, numpy's per-call
+overhead costs far more than the arithmetic, and so do the per-element
+bytecode of ``zip``, ``map`` and comprehensions and the calls and lists of
+small helper functions.  So one Newton step is written out on the five
+scalars inside ``_newton_stage``'s loop: the arrowhead Hessian (its 5
+diagonal entries and the two couplings), its elimination, the descent
+test and the Armijo line search.  The only function of this module that
+a step calls is the trial evaluation, and the only list it builds is
+each trial point.  Its expressions are, in their order, those of the
+reference units that the tests hold each step to: the Hessian, the
+arrowhead solve, the Newton direction and the line search in
+tests/helpers.py.  A stage's exit tests, the per-stage bookkeeping of
+``_solve_from_z``, ``_polish`` and the repair's segment are written out
+on scalars too.
+
 Each trial point is evaluated once, in one fused pass
 (``_BarrierProblem.evaluate``): it rejects a point that is not strictly
 interior, then computes x, g1, g2, J and the barrier value, and the line
 search rejects a trial whose value fails the Armijo bound there, before
 its gradient is built (2,886 of the 10,002 trials of an 81-point weight
-sweep).  An accepted point carries its gradient and keeps A, l, eta, g1
-and g2 so that the Hessian there reuses them.  J and its gradient are
-built on the 10 constants of ``dockopt.objective.quadratic_form``
-(J = sum((q_i*x_i - b_i)*x_i), dJ/dx_i = 2q_i*x_i - b_i), computed once
-per problem, with the operations, in the order, of ``total_cost_arrays``
-and ``gradient_at``, so they are those functions' floats bit for bit.
+sweep).  An accepted point carries its value and gradient and keeps A, l,
+eta, g1 and g2, and the next step's Hessian reads them from it.  J and
+its gradient are built on the 10 constants of
+``dockopt.objective.quadratic_form`` (J = sum((q_i*x_i - b_i)*x_i),
+dJ/dx_i = 2q_i*x_i - b_i), computed once per problem, with the
+operations, in the order, of ``total_cost_arrays`` and ``gradient_at``,
+so they are those functions' floats bit for bit.
 
 Work that cannot change a solve's answer is done once.  An evaluated
 point also keeps its log-barrier sum.  x, g1, g2, J and that sum do not
@@ -146,17 +158,18 @@ from .domain import DesignBounds, DesignVector, WeightVector, check_integer
 # gradient_at and total_cost_arrays are not called here, but stay names of
 # this module: bench/tracing.py wraps them by name.
 from .objective import (ObjectiveCoefficients, ObjectiveValues, gradient_at,
-                        quadratic_form, total_cost, total_cost_arrays)
+                        objective_terms, quadratic_form, total_cost,
+                        total_cost_arrays)
 
 _VAR_NAMES = tuple(f.name for f in fields(DesignVector))
 # The 12 inequality faces in the order of _BarrierProblem.scaled_slacks.
 _SLACK_NAMES = (*(f"{n}_lower" for n in _VAR_NAMES),
                 *(f"{n}_upper" for n in _VAR_NAMES),
                 "volume_min", "tolerance_ratio_min")
-# Each active set is kept once and shared by every result that has it:
-# its keys are subsets of _SLACK_NAMES in that order, so it holds at most
-# 2^12 entries.
-_ACTIVE_SETS: dict[tuple[str, ...], tuple[str, ...]] = {}
+# Each active set is kept once and shared by every result that has it,
+# keyed by its faces as bits (bit i for _SLACK_NAMES[i]), so it holds at
+# most 2^12 entries.
+_ACTIVE_SETS: dict[int, tuple[str, ...]] = {}
 _MIN_STEP = 1e-16
 _ACTIVE_SLACK = 1e-6
 # The polish certifies every continuation whose best stage's KKT residual
@@ -372,8 +385,8 @@ class _BarrierProblem:
         self.bounds = bounds
         self.cons = cons
         self.lb = bounds.lower.as_tuple()
-        self.range = tuple(hi - lo for lo, hi in zip(self.lb,
-                                                     bounds.upper.as_tuple()))
+        self.ub = bounds.upper.as_tuple()
+        self.range = tuple(hi - lo for lo, hi in zip(self.lb, self.ub))
         self.V, self.R = cons.volume_min, cons.tolerance_ratio_min
         self.g1_scale = cons.volume_min if cons.volume_min > 0.0 else 1.0
         self.g2_scale = cons.tolerance_ratio_min if cons.tolerance_ratio_min > 0.0 else 1.0
@@ -407,8 +420,9 @@ class _BarrierProblem:
 
         Returns the point ``(z, f, g, cost, A, l, eta, g1, g2, logs)``:
         the barrier value f and its gradient g in z, J at x(z), the parts
-        of x and the constraint values that ``hessian`` reuses, and the
-        log-barrier sum, f = cost - mu * logs, that ``reweight`` reuses.
+        of x and the constraint values that the Newton step's Hessian
+        reuses (see ``_newton_stage``), and the log-barrier sum,
+        f = cost - mu * logs, that ``reweight`` reuses.
         With mu = 0, f and g are J and its gradient.  Given ``f_max``, a
         point whose f fails ``f <= f_max`` (a nan f too) is None as well,
         and its gradient is never built: a line search rejects it on f
@@ -481,38 +495,6 @@ class _BarrierProblem:
              (s4 * eta - b4) * r4 - mu / z4 + mu / (1.0 - z4)
              - c2 * (1.0 / A * r4)]
         return z, f, g, cost, A, l, eta, g1, g2, logs
-
-    def hessian(self, point: tuple, mu: float,
-                ) -> tuple[list[float], float, float]:
-        """Exact barrier Hessian in z coordinates at a point from
-        ``evaluate``, as an arrowhead: the 5 diagonal entries, then the
-        (A, l) and (A, eta) entries, the only nonzero ones off the diagonal
-        (g1 ties A to l, g2 ties A to eta)."""
-        (z0, z1, z2, z3, z4), _, _, _, A, l, eta, g1, g2, _ = point
-        k0, k1, k2, k3, k4 = self.cost_hess_diag
-        r0, r1, _, _, r4 = self.range
-        # The cost's curvature plus both box terms', per coordinate.
-        w0, w1, w2, w3, w4 = 1.0 - z0, 1.0 - z1, 1.0 - z2, 1.0 - z3, 1.0 - z4
-        d0 = k0 + mu * (1.0 / (z0 * z0) + 1.0 / (w0 * w0))
-        d1 = k1 + mu * (1.0 / (z1 * z1) + 1.0 / (w1 * w1))
-        d2 = k2 + mu * (1.0 / (z2 * z2) + 1.0 / (w2 * w2))
-        d3 = k3 + mu * (1.0 / (z3 * z3) + 1.0 / (w3 * w3))
-        d4 = k4 + mu * (1.0 / (z4 * z4) + 1.0 / (w4 * w4))
-        # g1 = A*l - V: outer product of its gradient, then d2(A*l)/dAdl = 1.
-        u0, u1 = l * r0, A * r1
-        c1 = mu / g1**2
-        d0 += c1 * (u0 * u0)
-        d1 += c1 * (u1 * u1)
-        h01 = c1 * (u0 * u1) - mu / g1 * r0 * r1
-        # g2 = eta/A - R: outer product of its gradient, then its curvature.
-        v0, v4 = -eta / A**2 * r0, 1.0 / A * r4
-        c2 = mu / g2**2
-        d0 += c2 * (v0 * v0)
-        d4 += c2 * (v4 * v4)
-        h04 = c2 * (v0 * v4)
-        d0 -= mu / g2 * 2.0 * eta / A**3 * r0**2
-        h04 -= mu / g2 * (-1.0 / A**2) * r0 * r4
-        return [d0, d1, d2, d3, d4], h01, h04
 
 
 def barrier_objective(x: DesignVector, mu: float, w: WeightVector,
@@ -617,105 +599,116 @@ def _repaired_start(problem: _BarrierProblem, z: list[float]) -> list[float]:
     return list(start)
 
 
-def _line_search(problem: _BarrierProblem, point: tuple, p: list[float],
-                 mu: float) -> tuple | None:
-    """Armijo backtracking from an evaluated point, starting from the
-    largest box-respecting step; trial points outside the strict interior
-    shrink the step further.  Returns the accepted point, or None.
-
-    Each trial is evaluated against the Armijo bound, so a rejected trial
-    costs its value alone, not its gradient."""
-    (z0, z1, z2, z3, z4), f, (g0, g1, g2, g3, g4) = point[:3]
-    p0, p1, p2, p3, p4 = p
-    gp = g0 * p0 + g1 * p1 + g2 * p2 + g3 * p3 + g4 * p4
-    # The step to each coordinate's box face along p (inf if p_i is 0 or
-    # nan); a limit that is not positive is not a face ahead.
-    nearest = math.inf
-    for limit in (z0 / -p0 if p0 < 0.0 else (1.0 - z0) / p0 if p0 > 0.0
-                  else math.inf,
-                  z1 / -p1 if p1 < 0.0 else (1.0 - z1) / p1 if p1 > 0.0
-                  else math.inf,
-                  z2 / -p2 if p2 < 0.0 else (1.0 - z2) / p2 if p2 > 0.0
-                  else math.inf,
-                  z3 / -p3 if p3 < 0.0 else (1.0 - z3) / p3 if p3 > 0.0
-                  else math.inf,
-                  z4 / -p4 if p4 < 0.0 else (1.0 - z4) / p4 if p4 > 0.0
-                  else math.inf):
-        if 0.0 < limit < nearest:
-            nearest = limit
-    alpha = min(1.0, _BOUNDARY_FRACTION * nearest)
-
-    evaluate = problem.evaluate
-    while alpha > _MIN_STEP:
-        trial = evaluate([z0 + alpha * p0, z1 + alpha * p1, z2 + alpha * p2,
-                          z3 + alpha * p3, z4 + alpha * p4],
-                         mu, f + _ARMIJO_C * alpha * gp)
-        if trial is not None:
-            return trial
-        alpha *= _BACKTRACK_FACTOR
-    return None
-
-
-def _arrowhead_solve(hess: tuple[list[float], float, float],
-                     g: list[float]) -> list[float] | None:
-    """Solve hess p = -g for the arrowhead ``(diag, h_Al, h_Aeta)``: u and
-    e on their own, l and eta eliminated onto A through the Schur
-    complement s.  Returns None when a pivot is not positive (the matrix
-    is not positive definite, or holds a nan)."""
-    (dA, dl, du, de, deta), hAl, hAeta = hess
-    if not (dl > 0.0 and du > 0.0 and de > 0.0 and deta > 0.0):
-        return None
-    s = dA - hAl * hAl / dl - hAeta * hAeta / deta
-    if not s > 0.0:
-        return None
-    gA, gl, gu, ge, geta = g
-    pA = -(gA - hAl * gl / dl - hAeta * geta / deta) / s
-    return [pA, -(gl + hAl * pA) / dl, -gu / du, -ge / de,
-            -(geta + hAeta * pA) / deta]
-
-
-def _newton_direction(problem: _BarrierProblem, point: tuple,
-                      mu: float) -> list[float]:
-    """Newton direction at an evaluated point on the exact barrier
-    Hessian, by one arrowhead solve.  The Hessian is positive definite at
-    every interior point (see the module docstring), so the elimination
-    fails, or p is not finite or not a descent direction, only on a nan or
-    an overflow; the direction is then -g.
-    """
-    g0, g1, g2, g3, g4 = g = point[2]
-    p = _arrowhead_solve(problem.hessian(point, mu), g)
-    if p is not None:
-        p0, p1, p2, p3, p4 = p
-        if (isfinite(p0) and isfinite(p1) and isfinite(p2) and isfinite(p3)
-                and isfinite(p4)
-                and g0 * p0 + g1 * p1 + g2 * p2 + g3 * p3 + g4 * p4 < 0.0):
-            return p
-    return [-g0, -g1, -g2, -g3, -g4]
-
-
 def _newton_stage(problem: _BarrierProblem, point: tuple, mu: float,
                   tol: float) -> tuple[tuple, int]:
     """Minimize the barrier objective at fixed mu by Newton steps with
     Armijo backtracking, from a point evaluated at mu.
+
+    Each step is written out on the five scalars:
+    * the exact barrier Hessian at the point, as an arrowhead: the 5
+      diagonal entries and the (A, l) and (A, eta) entries, the only
+      nonzero ones off the diagonal (g1 ties A to l, g2 ties A to eta);
+    * the Newton direction by block elimination: u and e on their own, l
+      and eta eliminated onto A through the Schur complement.  It is -g
+      where a pivot is not positive, or p is not finite or not a descent
+      direction, which on this positive definite Hessian (see the module
+      docstring) happens only on a nan or an overflow;
+    * Armijo backtracking from the largest box-respecting step, each
+      trial evaluated against the Armijo bound (``evaluate``'s
+      ``f_max``), so that a rejected trial costs its value alone.
 
     Stops at the gradient tolerance, at the step cap, or when no step
     makes progress: the line search finds none, or the accepted one
     leaves z in place (near-active slacks are position-quantized at f64
     resolution).  Returns the evaluated iterate and the steps taken.
     """
-    (z0, z1, z2, z3, z4), _, (g0, g1, g2, g3, g4) = point[:3]
+    k0, k1, k2, k3, k4 = problem.cost_hess_diag
+    r0, r1, _, _, r4 = problem.range
+    evaluate = problem.evaluate
+    # The constraint values g1 and g2 are s1 and s2 here; g is the gradient.
+    (z0, z1, z2, z3, z4), f, (g0, g1, g2, g3, g4), _, A, l, eta, s1, s2, _ \
+        = point
     iterations = 0
 
     while max(abs(g0), abs(g1), abs(g2), abs(g3), abs(g4)) > tol \
             and iterations < _MAX_INNER_ITERATIONS:
-        p = _newton_direction(problem, point, mu)
-        trial = _line_search(problem, point, p, mu)
-        if trial is None:
+        # The Hessian: the cost's curvature plus both box terms', per
+        # coordinate.
+        w0, w1, w2, w3, w4 = 1.0 - z0, 1.0 - z1, 1.0 - z2, 1.0 - z3, 1.0 - z4
+        d0 = k0 + mu * (1.0 / (z0 * z0) + 1.0 / (w0 * w0))
+        d1 = k1 + mu * (1.0 / (z1 * z1) + 1.0 / (w1 * w1))
+        d2 = k2 + mu * (1.0 / (z2 * z2) + 1.0 / (w2 * w2))
+        d3 = k3 + mu * (1.0 / (z3 * z3) + 1.0 / (w3 * w3))
+        d4 = k4 + mu * (1.0 / (z4 * z4) + 1.0 / (w4 * w4))
+        # g1 = A*l - V: outer product of its gradient, then d2(A*l)/dAdl = 1.
+        u0, u1 = l * r0, A * r1
+        c1 = mu / s1**2
+        d0 += c1 * (u0 * u0)
+        d1 += c1 * (u1 * u1)
+        h01 = c1 * (u0 * u1) - mu / s1 * r0 * r1
+        # g2 = eta/A - R: outer product of its gradient, then its curvature.
+        v0, v4 = -eta / A**2 * r0, 1.0 / A * r4
+        c2 = mu / s2**2
+        d0 += c2 * (v0 * v0)
+        d4 += c2 * (v4 * v4)
+        h04 = c2 * (v0 * v4)
+        d0 -= mu / s2 * 2.0 * eta / A**3 * r0**2
+        h04 -= mu / s2 * (-1.0 / A**2) * r0 * r4
+
+        # The Newton direction, kept if finite and downhill (g.p < 0).
+        gp = 0.0
+        if d1 > 0.0 and d2 > 0.0 and d3 > 0.0 and d4 > 0.0:
+            schur = d0 - h01 * h01 / d1 - h04 * h04 / d4
+            if schur > 0.0:
+                p0 = -(g0 - h01 * g1 / d1 - h04 * g4 / d4) / schur
+                p1 = -(g1 + h01 * p0) / d1
+                p2 = -g2 / d2
+                p3 = -g3 / d3
+                p4 = -(g4 + h04 * p0) / d4
+                if (isfinite(p0) and isfinite(p1) and isfinite(p2)
+                        and isfinite(p3) and isfinite(p4)):
+                    gp = g0 * p0 + g1 * p1 + g2 * p2 + g3 * p3 + g4 * p4
+        if not gp < 0.0:
+            p0, p1, p2, p3, p4 = -g0, -g1, -g2, -g3, -g4
+            gp = g0 * p0 + g1 * p1 + g2 * p2 + g3 * p3 + g4 * p4
+
+        # The step to each coordinate's box face along p (inf if p_i is 0
+        # or nan); a limit that is not positive is not a face ahead.
+        nearest = math.inf
+        limit = z0 / -p0 if p0 < 0.0 else w0 / p0 if p0 > 0.0 else math.inf
+        if 0.0 < limit < nearest:
+            nearest = limit
+        limit = z1 / -p1 if p1 < 0.0 else w1 / p1 if p1 > 0.0 else math.inf
+        if 0.0 < limit < nearest:
+            nearest = limit
+        limit = z2 / -p2 if p2 < 0.0 else w2 / p2 if p2 > 0.0 else math.inf
+        if 0.0 < limit < nearest:
+            nearest = limit
+        limit = z3 / -p3 if p3 < 0.0 else w3 / p3 if p3 > 0.0 else math.inf
+        if 0.0 < limit < nearest:
+            nearest = limit
+        limit = z4 / -p4 if p4 < 0.0 else w4 / p4 if p4 > 0.0 else math.inf
+        if 0.0 < limit < nearest:
+            nearest = limit
+        alpha = min(1.0, _BOUNDARY_FRACTION * nearest)
+
+        while alpha > _MIN_STEP:
+            trial = evaluate([z0 + alpha * p0, z1 + alpha * p1,
+                              z2 + alpha * p2, z3 + alpha * p3,
+                              z4 + alpha * p4],
+                             mu, f + _ARMIJO_C * alpha * gp)
+            if trial is not None:
+                break
+            alpha *= _BACKTRACK_FACTOR
+        else:
             break  # no acceptable step: no progress possible
-        (t0, t1, t2, t3, t4), _, (g0, g1, g2, g3, g4) = trial[:3]
+
+        point = trial
+        (t0, t1, t2, t3, t4), f, (g0, g1, g2, g3, g4), _, A, l, eta, s1, s2, \
+            _ = trial
         moved = max(abs(t0 - z0), abs(t1 - z1), abs(t2 - z2), abs(t3 - z3),
                     abs(t4 - z4))
-        point, z0, z1, z2, z3, z4 = trial, t0, t1, t2, t3, t4
+        z0, z1, z2, z3, z4 = t0, t1, t2, t3, t4
         iterations += 1
         if moved < 1e-15:
             break  # below position resolution; no progress possible
@@ -727,7 +720,8 @@ def _solve_from_z(problem: _BarrierProblem, z0: list[float]) -> SolveResult:
     z = _repaired_start(problem, z0)
     # Each stage starts where the last ended: only f and g change with mu.
     point = problem.evaluate(z, 0.0)
-    trace: list[float] = []  # mu, cost, stationarity, inner of each stage
+    pack = _STAGE.pack
+    stages: list[bytes] = []  # mu, cost, stationarity, inner of each stage
     iterations = 0
     best_residual = math.inf
     best_z = z
@@ -737,12 +731,12 @@ def _solve_from_z(problem: _BarrierProblem, z0: list[float]) -> SolveResult:
         inner_tol = max(0.3 * _KKT_TOLERANCE, mu)
         point, inner = _newton_stage(problem, problem.reweight(point, mu), mu,
                                      inner_tol)
-        z, _, g, cost = point[:4]
-        stationarity = max(map(abs, g))
+        z, _, (g0, g1, g2, g3, g4), cost = point[:4]
+        stationarity = max(abs(g0), abs(g1), abs(g2), abs(g3), abs(g4))
         # Primal multiplier estimates give lambda_i * slack_i = mu exactly,
         # so mu itself is the complementarity gap against the true problem.
         residual = max(stationarity, mu)
-        trace += (mu, cost, stationarity, inner)
+        stages.append(pack(mu, cost, stationarity, inner))
         iterations += inner
         if residual < best_residual:
             best_residual, best_z = residual, z
@@ -750,35 +744,51 @@ def _solve_from_z(problem: _BarrierProblem, z0: list[float]) -> SolveResult:
                 and residual > 10.0 * best_residual:
             break  # refinement exhausted: polish the best stage
 
+    trace = BarrierTrace._packed(b"".join(stages))
     x = problem.x_of_z(best_z)
+    if best_residual <= _POLISH_RESIDUAL:
+        # J at the best stage with total_cost's expressions, its float.
+        h, c, d, v = objective_terms(*x, problem.coeff)
+        w = problem.w
+        certified = _polish(problem, x[0],
+                            w.p * h + w.q * c - w.r * d - w.s * v,
+                            iterations, trace)
+        if certified is not None:
+            return certified
     x_star = DesignVector(*x)
-    result = SolveResult(
+    return SolveResult(
         x_star=x_star,
         objective=total_cost(x_star, problem.w, problem.coeff),
         kkt_residual=best_residual,
         constraint_values=problem.constraints(x),
-        active_set=_active_set(s < _ACTIVE_SLACK
-                               for s in problem.scaled_slacks(best_z)),
+        active_set=_active_set(sum(
+            1 << i for i, s in enumerate(problem.scaled_slacks(best_z))
+            if s < _ACTIVE_SLACK)),
         iterations=iterations,
         status=SolverStatus.IterationLimit,
-        outer_trace=BarrierTrace(trace),
+        outer_trace=trace,
     )
-    if best_residual <= _POLISH_RESIDUAL:
-        return _polish(problem, best_z, result) or result
-    return result
 
 
-def _active_set(faces: Iterable[bool]) -> tuple[str, ...]:
-    """The names of the faces flagged in ``faces`` (in _SLACK_NAMES
-    order), as the one tuple that every result with this set shares."""
-    active = tuple(name for name, f in zip(_SLACK_NAMES, faces) if f)
-    return _ACTIVE_SETS.setdefault(active, active)
+def _active_set(mask: int) -> tuple[str, ...]:
+    """The names of the faces whose bits are set in ``mask`` (bit i for
+    ``_SLACK_NAMES[i]``), as the one tuple that every result with this set
+    shares."""
+    active = _ACTIVE_SETS.get(mask)
+    if active is None:
+        active = _ACTIVE_SETS[mask] = tuple(
+            name for i, name in enumerate(_SLACK_NAMES) if mask >> i & 1)
+    return active
 
 
-def _polish(problem: _BarrierProblem, z: list[float],
-            barrier: SolveResult) -> SolveResult | None:
+def _polish(problem: _BarrierProblem, A_barrier: float, J: float,
+            iterations: int, trace: BarrierTrace) -> SolveResult | None:
     """Certify a continuation with the exact optimum of the reduced
     problem, or return None if that point fails verification.
+
+    ``A_barrier`` is A at the barrier's best stage and ``J`` the cost
+    there, equal to ``total_cost``'s J bit for bit; ``iterations`` and
+    ``trace`` are the barrier's, and the certified result reports them.
 
     Solve, with dJ/dx_i = quad_i*x_i - lin_i (J is separable; quad = 2q
     and lin = b of ``quadratic_form``): u and e minimise alone at
@@ -788,54 +798,55 @@ def _polish(problem: _BarrierProblem, z: list[float],
     phi(A) = J(A, l*(A), u*, e*, eta*(A)) is convex on
     [max(A_lo, V/l_hi), min(A_hi, eta_hi/R)], because it partially
     minimises a convex problem (Boyd & Vandenberghe, section 3.2.5).  So A*
-    is where phi' changes sign, found by Newton steps from the barrier's
-    A that a bisection keeps in the bracket.  The active set is the faces
-    that x* meets.  Verify: x* is in the box and meets g1 >= 0 and
-    g2 >= 0, every multiplier (from stationarity, in the barrier's scaled
-    units) is >= -1e-8, the free components' stationarity is <= 1e-8, and
-    J is at most the barrier's plus 4 ulp of max(1, |J|).  The residual
-    reported is the largest of those violations.
+    is where phi' changes sign, found by ``_bracketed_root`` from the
+    barrier's A.  The active set is the faces that x* meets.  Verify: x* is
+    in the box and meets g1 >= 0 and g2 >= 0, every multiplier (from
+    stationarity, in the barrier's scaled units) is >= -1e-8, the free
+    components' stationarity is <= 1e-8, and J(x*) is at most the
+    barrier's J plus 4 ulp of max(1, |J|).  The residual reported is the
+    largest of those violations.  The work is written out on the five
+    scalars, as ``_newton_stage``'s is.
     """
-    lo, hi = problem.lb, problem.bounds.upper.as_tuple()
-    quad, lin, r = problem.q2, problem.b, problem.range
+    lo0, lo1, lo2, lo3, lo4 = problem.lb
+    hi0, hi1, hi2, hi3, hi4 = problem.ub
+    qA, ql, qu, qe, qeta = problem.q2
+    bA, bl, bu, be, beta = problem.b
+    r0, r1, r2, r3, r4 = problem.range
     V, R = problem.V, problem.R
-    free = [b / q if q > 0.0 else math.inf if b > 0.0 else -math.inf
-            for q, b in zip(quad, lin)]
-    qA, ql, qe = quad[0], quad[1], quad[4]
-    bA, bl, be = lin[0], lin[1], lin[4]
-
-    def couplings(A: float) -> tuple[bool, bool]:
-        # g1 (g2) holds l (eta) at its floor V/A (R*A) only where the
-        # free minimiser lies below that floor
-        return (V / A > lo[1] and free[1] < V / A,
-                R * A > lo[4] and free[4] < R * A)
+    # Where a component has no quadratic term, its linear one pushes it
+    # to a bound.
+    free_l = bl / ql if ql > 0.0 else math.inf if bl > 0.0 else -math.inf
+    free_u = bu / qu if qu > 0.0 else math.inf if bu > 0.0 else -math.inf
+    free_e = be / qe if qe > 0.0 else math.inf if be > 0.0 else -math.inf
+    free_eta = (beta / qeta if qeta > 0.0
+                else math.inf if beta > 0.0 else -math.inf)
 
     def slope(A: float) -> tuple[float, float]:
-        """phi'(A) and phi''(A)."""
-        on_g1, on_g2 = couplings(A)
+        """phi'(A) and phi''(A).  g1 (g2) holds l (eta) at its floor V/A
+        (R*A) only where the free minimiser lies below that floor."""
         value, curvature = qA * A - bA, qA
-        if on_g1:
+        if V / A > lo1 and free_l < V / A:
             dl = ql * (V / A) - bl
             value -= dl * V / (A * A)
             curvature += (ql * V / (A * A) + 2.0 * dl / A) * V / (A * A)
-        if on_g2:
-            value += (qe * (R * A) - be) * R
-            curvature += qe * R * R
+        if R * A > lo4 and free_eta < R * A:
+            value += (qeta * (R * A) - beta) * R
+            curvature += qeta * R * R
         return value, curvature
 
     # The bracket, with V/l_hi rounded up and eta_hi/R rounded down so
     # that l_hi and eta_hi stay feasible at its ends.  At such an end, g1
     # (or g2) is active whatever the free minimiser.
-    a, b = lo[0], hi[0]
-    end_g1 = V / hi[1] > a
+    a, b = lo0, hi0
+    end_g1 = V / hi1 > a
     if end_g1:
-        a = V / hi[1]
-        while a * hi[1] < V:
+        a = V / hi1
+        while a * hi1 < V:
             a = math.nextafter(a, math.inf)
-    end_g2 = R > 0.0 and hi[4] / R < b
+    end_g2 = R > 0.0 and hi4 / R < b
     if end_g2:
-        b = hi[4] / R
-        while hi[4] / b < R:
+        b = hi4 / R
+        while hi4 / b < R:
             b = math.nextafter(b, 0.0)
     if not a <= b:
         return None
@@ -844,39 +855,45 @@ def _polish(problem: _BarrierProblem, z: list[float],
     elif slope(b)[0] <= 0.0:
         A = b
     else:
-        A = _bracketed_root(slope, problem.x_of_z(z)[0], a, b)
+        A = _bracketed_root(slope, A_barrier, a, b)
 
     # Corners, where l (eta) meets a bound and g1 (g2) at once: the ends
     # that V/l_hi and eta_hi/R set, and the jumps of phi' at V/l_lo (if
     # l_free < l_lo) and eta_lo/R (if eta_free < eta_lo).  A root within
     # 1e-12 of a jump is taken to be that corner.
-    l_corner = hi[1] if end_g1 and A == a else None
-    eta_corner = hi[4] if end_g2 and A == b else None
-    if free[1] < lo[1] and abs(A * lo[1] - V) <= 1e-12 * V:
-        A, l_corner = V / lo[1], lo[1]
-        while A * lo[1] < V:
+    l_corner = hi1 if end_g1 and A == a else None
+    eta_corner = hi4 if end_g2 and A == b else None
+    if free_l < lo1 and abs(A * lo1 - V) <= 1e-12 * V:
+        A, l_corner = V / lo1, lo1
+        while A * lo1 < V:
             A = math.nextafter(A, math.inf)
-    if free[4] < lo[4] and R > 0.0 and abs(lo[4] / A - R) <= 1e-12 * R:
-        A, eta_corner = lo[4] / R, lo[4]
-        while lo[4] / A < R:
+    if free_eta < lo4 and R > 0.0 and abs(lo4 / A - R) <= 1e-12 * R:
+        A, eta_corner = lo4 / R, lo4
+        while lo4 / A < R:
             A = math.nextafter(A, 0.0)
 
-    on_g1, on_g2 = couplings(A)
-    x = [A, *(min(max(free[i], lo[i]), hi[i]) for i in (1, 2, 3, 4))]
+    on_g1 = V / A > lo1 and free_l < V / A
+    on_g2 = R * A > lo4 and free_eta < R * A
+    l = min(max(free_l, lo1), hi1)
+    u = min(max(free_u, lo2), hi2)
+    e = min(max(free_e, lo3), hi3)
+    eta = min(max(free_eta, lo4), hi4)
     if l_corner is not None:
-        on_g1, x[1] = True, l_corner
+        on_g1, l = True, l_corner
     elif on_g1:
-        x[1] = V / A
-        while A * x[1] < V:
-            x[1] = math.nextafter(x[1], math.inf)
+        l = V / A
+        while A * l < V:
+            l = math.nextafter(l, math.inf)
     if eta_corner is not None:
-        on_g2, x[4] = True, eta_corner
+        on_g2, eta = True, eta_corner
     elif on_g2:
-        x[4] = R * A
-        while x[4] / A < R:
-            x[4] = math.nextafter(x[4], math.inf)
-    g1, g2 = problem.constraints(x)
-    if not (all(low <= xi <= high for low, xi, high in zip(lo, x, hi))
+        eta = R * A
+        while eta / A < R:
+            eta = math.nextafter(eta, math.inf)
+    g1 = A * l - V
+    g2 = eta / A - R
+    if not (lo0 <= A <= hi0 and lo1 <= l <= hi1 and lo2 <= u <= hi2
+            and lo3 <= e <= hi3 and lo4 <= eta <= hi4
             and g1 >= 0.0 and g2 >= 0.0):
         return None
 
@@ -884,53 +901,64 @@ def _polish(problem: _BarrierProblem, z: list[float],
     # face gradient, the faces being z_i >= 0, 1 - z_i >= 0, g1/g1_scale
     # and g2/g2_scale.  Where l (eta) meets both a bound and g1 (g2), A's
     # equation gives g1's (g2's) multiplier.
-    at_lo = [xi == low for xi, low in zip(x, lo)]
-    at_hi = [xi == high for xi, high in zip(x, hi)]
-    fixed = [p or q for p, q in zip(at_lo, at_hi)]
-    corner_g1 = on_g1 and fixed[1]
-    corner_g2 = on_g2 and fixed[4] and R > 0.0
-    if (corner_g1 or corner_g2) and fixed[0] or corner_g1 and corner_g2:
+    lo_A, lo_l, lo_u, lo_e, lo_eta = (A == lo0, l == lo1, u == lo2, e == lo3,
+                                      eta == lo4)
+    hi_A, hi_l, hi_u, hi_e, hi_eta = (A == hi0, l == hi1, u == hi2, e == hi3,
+                                      eta == hi4)
+    fixed_A, fixed_l, fixed_eta = lo_A or hi_A, lo_l or hi_l, lo_eta or hi_eta
+    corner_g1 = on_g1 and fixed_l
+    corner_g2 = on_g2 and fixed_eta and R > 0.0
+    if (corner_g1 or corner_g2) and fixed_A or corner_g1 and corner_g2:
         return None  # more active faces than (A, l, eta) can determine
-    A, l, _, _, eta = x
-    d = [(qi * xi - bi) * ri for qi, xi, bi, ri in zip(quad, x, lin, r)]
-    g1_A, g1_l = l * r[0] / problem.g1_scale, A * r[1] / problem.g1_scale
-    g2_A = -eta / (A * A) * r[0] / problem.g2_scale
-    g2_eta = r[4] / A / problem.g2_scale
-    mu1 = d[1] / g1_l if on_g1 and not fixed[1] else 0.0
-    mu2 = d[4] / g2_eta if on_g2 and not fixed[4] else 0.0
+    dA = (qA * A - bA) * r0
+    dl = (ql * l - bl) * r1
+    du = (qu * u - bu) * r2
+    de = (qe * e - be) * r3
+    deta = (qeta * eta - beta) * r4
+    g1_A, g1_l = l * r0 / problem.g1_scale, A * r1 / problem.g1_scale
+    g2_A = -eta / (A * A) * r0 / problem.g2_scale
+    g2_eta = r4 / A / problem.g2_scale
+    mu1 = dl / g1_l if on_g1 and not fixed_l else 0.0
+    mu2 = deta / g2_eta if on_g2 and not fixed_eta else 0.0
     if corner_g1:
-        mu1 = (d[0] - mu2 * g2_A) / g1_A
+        mu1 = (dA - mu2 * g2_A) / g1_A
     elif corner_g2:
-        mu2 = (d[0] - mu1 * g1_A) / g2_A
-    left = [d[0] - mu1 * g1_A - mu2 * g2_A, d[1] - mu1 * g1_l, d[2], d[3],
-            d[4] - mu2 * g2_eta]
-    violations = [-mu1, -mu2]
-    for rest, low, high in zip(left, at_lo, at_hi):
-        if low:
-            violations.append(-rest)  # minus the lower face's multiplier
-        elif high:
-            violations.append(rest)  # the upper face's gradient is -1
-        else:
-            violations.append(abs(rest))  # a free component's stationarity
-    residual = max(0.0, *violations)
-    x_star = DesignVector(*x)
+        mu2 = (dA - mu1 * g1_A) / g2_A
+    # What is left of each component's gradient: the multiplier of a lower
+    # face it meets, minus that of an upper face (whose gradient is -1),
+    # and otherwise its stationarity.
+    rest = dA - mu1 * g1_A - mu2 * g2_A
+    rest_A = -rest if lo_A else rest if hi_A else abs(rest)
+    rest = dl - mu1 * g1_l
+    rest_l = -rest if lo_l else rest if hi_l else abs(rest)
+    rest_u = -du if lo_u else du if hi_u else abs(du)
+    rest_e = -de if lo_e else de if hi_e else abs(de)
+    rest = deta - mu2 * g2_eta
+    rest_eta = -rest if lo_eta else rest if hi_eta else abs(rest)
+    residual = max(0.0, -mu1, -mu2, rest_A, rest_l, rest_u, rest_e, rest_eta)
+    if not residual <= _KKT_TOLERANCE:
+        return None
+    x_star = DesignVector(A, l, u, e, eta)
     objective = total_cost(x_star, problem.w, problem.coeff)
-    J = barrier.objective.J
-    if not (residual <= _KKT_TOLERANCE
-            and objective.J <= J + 4.0 * math.ulp(max(1.0, abs(J)))):
+    if not objective.J <= J + 4.0 * math.ulp(max(1.0, abs(J))):
         return None
     return SolveResult(
         x_star=x_star, objective=objective, kkt_residual=residual,
         constraint_values=(g1, g2),
-        active_set=_active_set([*at_lo, *at_hi, on_g1, on_g2]),
-        iterations=barrier.iterations, status=SolverStatus.Converged,
-        outer_trace=barrier.outer_trace)
+        active_set=_active_set(
+            lo_A | lo_l << 1 | lo_u << 2 | lo_e << 3 | lo_eta << 4
+            | hi_A << 5 | hi_l << 6 | hi_u << 7 | hi_e << 8 | hi_eta << 9
+            | on_g1 << 10 | on_g2 << 11),
+        iterations=iterations, status=SolverStatus.Converged,
+        outer_trace=trace)
 
 
 def _bracketed_root(slope, x: float, a: float, b: float) -> float:
     """The root of the nondecreasing ``slope(x)[0]`` on [a, b], where it is
     negative at a and positive at b: Newton steps on ``slope(x)[1]`` from x,
-    replaced by bisection whenever one would leave the bracket."""
+    replaced by bisection wherever that curvature is not positive (where
+    phi is flat, a Newton step is undefined) or a step would leave the
+    bracket."""
     x = min(max(x, a), b)
     for _ in range(_MAX_ROOT_STEPS):
         value, curvature = slope(x)
@@ -940,7 +968,7 @@ def _bracketed_root(slope, x: float, a: float, b: float) -> float:
             a = x
         else:
             b = x
-        step = x - value / curvature if curvature > 0.0 else a
+        step = x - value / curvature if curvature > 0.0 else 0.5 * (a + b)
         if step == x:
             break
         if not a < step < b:

@@ -1,6 +1,6 @@
 """Shared test oracles: brute-force grid search, an exact reduced solve,
-an active-set enumeration, numerical quadrature and a numpy reference of
-the solver's barrier.
+an active-set enumeration, numerical quadrature, a numpy reference of
+the solver's barrier, and the reference units of one Newton step.
 
 These deliberately avoid the solver's machinery: the grid oracle scans an
 exhaustive feasible lattice for the lowest cost, the exact oracle bisects
@@ -11,6 +11,13 @@ oracle integrates sin(phi) numerically instead of using the closed form,
 the reference barrier evaluates the value, gradient and Hessian with
 numpy arrays instead of the solver's plain-float code, and the reference
 line search evaluates every trial in full before its Armijo test.
+
+``hessian``, ``arrowhead_solve``, ``newton_direction`` and ``line_search``
+are one Newton step of ``dockopt.solver._newton_stage`` taken apart: the
+same expressions in the same order, one unit each, and ``newton_stage``
+is the stage's loop over them.  The solver writes them out in one loop;
+the tests hold its steps and stages to these units bit for bit, and each
+unit to an independent oracle above.
 """
 
 import functools
@@ -22,7 +29,7 @@ import numpy as np
 from dockopt import DesignBounds, ObjectiveCoefficients, WeightVector
 from dockopt.objective import gradient_at, total_cost_arrays
 from dockopt.solver import (_ARMIJO_C, _BACKTRACK_FACTOR, _BOUNDARY_FRACTION,
-                            _MIN_STEP, ConstraintSet)
+                            _MAX_INNER_ITERATIONS, _MIN_STEP, ConstraintSet)
 
 
 def grid_min_cost(w: WeightVector, coeff: ObjectiveCoefficients,
@@ -121,9 +128,13 @@ def enumerated_min_cost(w: WeightVector, coeff: ObjectiveCoefficients,
     times A**3, that is the quartic
     (2a + 2c*R**2)*A**4 - (b + R*d)*A**3 + k*V*A - 2h*V**2 = 0, with
     a, b (h, k; c, d) the quadratic and linear constants of A (l; eta) and
-    the R terms only where g2 holds a free eta.  Every feasible candidate
-    is kept, and the least J among them is returned: the problem is
-    convex, so its minimiser is a stationary point of some combination.
+    the R terms only where g2 holds a free eta.  A free variable with no
+    quadratic term has no stationary point inside the box: its candidate
+    is dropped, and a combination with that variable on a bound gives the
+    minimiser (u and e, minimised alone, go to their upper bound).  Every
+    feasible candidate is kept, and the least J among them is returned:
+    the problem is convex, so its minimiser is a stationary point of some
+    combination.
     """
     c, V, R = coeff, cons.volume_min, cons.tolerance_ratio_min
     hull = c.kA + c.kl
@@ -137,8 +148,15 @@ def enumerated_min_cost(w: WeightVector, coeff: ObjectiveCoefficients,
     du = w.r * c.au / drag + w.s * c.bu / reach
     de, d_eta = w.r * c.ae / drag, w.r * c.a_eta / drag
     lo, hi = bounds.lower.as_tuple(), bounds.upper.as_tuple()
-    u = min(max(du / (2.0 * cu), lo[2]), hi[2])
-    e = min(max(de / (2.0 * ce), lo[3]), hi[3])
+
+    def minimiser(quadratic, linear):
+        # of quadratic*x**2 - linear*x on the line, or inf with no
+        # quadratic term: linear >= 0 then makes the upper bound of any
+        # box a minimiser
+        return linear / (2.0 * quadratic) if quadratic > 0.0 else math.inf
+
+    u = min(max(minimiser(cu, du), lo[2]), hi[2])
+    e = min(max(minimiser(ce, de), lo[3]), hi[3])
 
     def polished(poly, A):
         # Newton steps on the polynomial from numpy's eigenvalue root
@@ -173,14 +191,16 @@ def enumerated_min_cost(w: WeightVector, coeff: ObjectiveCoefficients,
             areas = [polished(poly, r.real) for r in np.roots(poly)
                      if abs(r.imag) <= 1e-9 * abs(r) and r.real > 0.0]
         else:
-            areas = [(b + (R * d_eta if coupled else 0.0))
-                     / (2.0 * a + (2.0 * c_eta * R * R if coupled else 0.0))]
+            areas = [minimiser(
+                a + (c_eta * R * R if coupled else 0.0),
+                b + (R * d_eta if coupled else 0.0))]
         for A in areas:
-            if not A > 0.0:
+            if not 0.0 < A < math.inf:
                 continue
-            l = on_l if on_l is not None else V / A if g1 else k / (2.0 * h)
+            l = on_l if on_l is not None else V / A if g1 \
+                else minimiser(h, k)
             eta = (on_eta if on_eta is not None else R * A if g2
-                   else d_eta / (2.0 * c_eta))
+                   else minimiser(c_eta, d_eta))
             x = (A, l, u, e, eta)
             if not (all(low - 1e-14 * max(1.0, abs(low)) <= xi
                         <= high + 1e-14 * max(1.0, abs(high))
@@ -339,8 +359,8 @@ def backtracking_line_search(problem, point, p, mu):
     box face ahead.  Every trial is evaluated in full (value and gradient),
     and the first one that is strictly interior with f <= f0 + c*alpha*g.p
     is returned; the step halves down to 1e-16, and None means no trial
-    passed.  The solver's line search must accept the same point, bit for
-    bit."""
+    passed.  ``line_search``, and so each step of the solver's stage, must
+    accept the same point, bit for bit."""
     z, f, g = point[:3]
     gp = g[0] * p[0]
     for gi, pi in zip(g[1:], p[1:]):
@@ -362,3 +382,123 @@ def backtracking_line_search(problem, point, p, mu):
             return trial
         alpha *= _BACKTRACK_FACTOR
     return None
+
+
+def hessian(problem, point, mu):
+    """Exact barrier Hessian in z coordinates at a point from
+    ``_BarrierProblem.evaluate``, as an arrowhead: the 5 diagonal entries,
+    then the (A, l) and (A, eta) entries, the only nonzero ones off the
+    diagonal (g1 ties A to l, g2 ties A to eta)."""
+    (z0, z1, z2, z3, z4), _, _, _, A, l, eta, g1, g2, _ = point
+    k0, k1, k2, k3, k4 = problem.cost_hess_diag
+    r0, r1, _, _, r4 = problem.range
+    # The cost's curvature plus both box terms', per coordinate.
+    w0, w1, w2, w3, w4 = 1.0 - z0, 1.0 - z1, 1.0 - z2, 1.0 - z3, 1.0 - z4
+    d0 = k0 + mu * (1.0 / (z0 * z0) + 1.0 / (w0 * w0))
+    d1 = k1 + mu * (1.0 / (z1 * z1) + 1.0 / (w1 * w1))
+    d2 = k2 + mu * (1.0 / (z2 * z2) + 1.0 / (w2 * w2))
+    d3 = k3 + mu * (1.0 / (z3 * z3) + 1.0 / (w3 * w3))
+    d4 = k4 + mu * (1.0 / (z4 * z4) + 1.0 / (w4 * w4))
+    # g1 = A*l - V: outer product of its gradient, then d2(A*l)/dAdl = 1.
+    u0, u1 = l * r0, A * r1
+    c1 = mu / g1**2
+    d0 += c1 * (u0 * u0)
+    d1 += c1 * (u1 * u1)
+    h01 = c1 * (u0 * u1) - mu / g1 * r0 * r1
+    # g2 = eta/A - R: outer product of its gradient, then its curvature.
+    v0, v4 = -eta / A**2 * r0, 1.0 / A * r4
+    c2 = mu / g2**2
+    d0 += c2 * (v0 * v0)
+    d4 += c2 * (v4 * v4)
+    h04 = c2 * (v0 * v4)
+    d0 -= mu / g2 * 2.0 * eta / A**3 * r0**2
+    h04 -= mu / g2 * (-1.0 / A**2) * r0 * r4
+    return [d0, d1, d2, d3, d4], h01, h04
+
+
+def arrowhead_solve(hess, g):
+    """Solve hess p = -g for the arrowhead ``(diag, h_Al, h_Aeta)``: u and
+    e on their own, l and eta eliminated onto A through the Schur
+    complement s.  Returns None when a pivot is not positive (the matrix
+    is not positive definite, or holds a nan)."""
+    (dA, dl, du, de, deta), hAl, hAeta = hess
+    if not (dl > 0.0 and du > 0.0 and de > 0.0 and deta > 0.0):
+        return None
+    s = dA - hAl * hAl / dl - hAeta * hAeta / deta
+    if not s > 0.0:
+        return None
+    gA, gl, gu, ge, geta = g
+    pA = -(gA - hAl * gl / dl - hAeta * geta / deta) / s
+    return [pA, -(gl + hAl * pA) / dl, -gu / du, -ge / de,
+            -(geta + hAeta * pA) / deta]
+
+
+def newton_direction(problem, point, mu, hess=None):
+    """Newton direction at an evaluated point, by one arrowhead solve of
+    ``hess`` (by default the barrier Hessian there); -g where the
+    elimination fails or p is not finite or not a descent direction."""
+    g0, g1, g2, g3, g4 = g = point[2]
+    p = arrowhead_solve(hessian(problem, point, mu) if hess is None else hess,
+                        g)
+    if p is not None:
+        p0, p1, p2, p3, p4 = p
+        if (math.isfinite(p0) and math.isfinite(p1) and math.isfinite(p2)
+                and math.isfinite(p3) and math.isfinite(p4)
+                and g0 * p0 + g1 * p1 + g2 * p2 + g3 * p3 + g4 * p4 < 0.0):
+            return p
+    return [-g0, -g1, -g2, -g3, -g4]
+
+
+def line_search(problem, point, p, mu):
+    """Armijo backtracking from an evaluated point, starting from the
+    largest box-respecting step; trial points outside the strict interior
+    shrink the step further.  Returns the accepted point, or None.  Each
+    trial is evaluated against the Armijo bound (``evaluate``'s f_max)."""
+    (z0, z1, z2, z3, z4), f, (g0, g1, g2, g3, g4) = point[:3]
+    p0, p1, p2, p3, p4 = p
+    gp = g0 * p0 + g1 * p1 + g2 * p2 + g3 * p3 + g4 * p4
+    # The step to each coordinate's box face along p (inf if p_i is 0 or
+    # nan); a limit that is not positive is not a face ahead.
+    nearest = math.inf
+    for limit in (z0 / -p0 if p0 < 0.0 else (1.0 - z0) / p0 if p0 > 0.0
+                  else math.inf,
+                  z1 / -p1 if p1 < 0.0 else (1.0 - z1) / p1 if p1 > 0.0
+                  else math.inf,
+                  z2 / -p2 if p2 < 0.0 else (1.0 - z2) / p2 if p2 > 0.0
+                  else math.inf,
+                  z3 / -p3 if p3 < 0.0 else (1.0 - z3) / p3 if p3 > 0.0
+                  else math.inf,
+                  z4 / -p4 if p4 < 0.0 else (1.0 - z4) / p4 if p4 > 0.0
+                  else math.inf):
+        if 0.0 < limit < nearest:
+            nearest = limit
+    alpha = min(1.0, _BOUNDARY_FRACTION * nearest)
+    while alpha > _MIN_STEP:
+        trial = problem.evaluate([z0 + alpha * p0, z1 + alpha * p1,
+                                  z2 + alpha * p2, z3 + alpha * p3,
+                                  z4 + alpha * p4],
+                                 mu, f + _ARMIJO_C * alpha * gp)
+        if trial is not None:
+            return trial
+        alpha *= _BACKTRACK_FACTOR
+    return None
+
+
+def newton_stage(problem, point, mu, tol):
+    """``dockopt.solver._newton_stage`` as a loop over the units above:
+    Newton steps while the gradient is above tol and under the step cap,
+    ended early by a line search that finds no step or a step that moves
+    z by less than 1e-15."""
+    z, _, g = point[:3]
+    iterations = 0
+    while max(map(abs, g)) > tol and iterations < _MAX_INNER_ITERATIONS:
+        trial = line_search(problem, point, newton_direction(problem, point, mu),
+                            mu)
+        if trial is None:
+            break
+        moved = max(abs(t - zi) for t, zi in zip(trial[0], z))
+        point, (z, _, g) = trial, trial[:3]
+        iterations += 1
+        if moved < 1e-15:
+            break
+    return point, iterations

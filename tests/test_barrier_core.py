@@ -5,11 +5,13 @@ Hessian at an evaluated point against the one rebuilt from z and against
 central differences, a stage's first point rebuilt at a new mu against
 the evaluated one, the arrowhead Newton solve's backward error, the
 steepest-descent fallback, the evaluation bounded by a line search's
-Armijo test and that line search against full backtracking, the repair to
-a strictly feasible start and the repaired starts kept per problem shape,
-each stage's end against the stopping rule, and whole solves against two
-exact oracles: a bisection on the reduced derivative and an enumeration of
-active faces."""
+Armijo test and that line search against full backtracking, the
+written-out Newton step, stage and solve against the reference units of
+tests/helpers.py, the repair to a strictly feasible start and the
+repaired starts kept per problem shape, each stage's end against the
+stopping rule, and whole solves against two exact oracles: a bisection on
+the reduced derivative and an enumeration of active faces.  Weights and
+coefficients are drawn with zeros wherever their validators allow them."""
 
 import math
 
@@ -28,19 +30,39 @@ from dockopt.scenarios import builtin_scenarios
 from dockopt.solver import (_MARGIN, _MAX_INNER_ITERATIONS,
                             _MAX_REPAIRED_STARTS, _MU_SCHEDULE,
                             _REPAIRED_STARTS, InfeasibleProblemError,
-                            _arrowhead_solve, _BarrierProblem, _line_search,
-                            _newton_direction, _repair_to_interior,
-                            _repaired_start, interior_anchor)
-from helpers import (ReferenceBarrier, backtracking_line_search,
-                     enumerated_min_cost, exact_min_cost)
+                            _BarrierProblem, _newton_stage,
+                            _repair_to_interior, _repaired_start,
+                            interior_anchor)
+from helpers import (ReferenceBarrier, arrowhead_solve,
+                     backtracking_line_search, enumerated_min_cost,
+                     exact_min_cost, hessian, line_search, newton_direction,
+                     newton_stage)
 
 EPS = np.finfo(float).eps
 
-weights = st.tuples(*[st.floats(0.05, 5.0)] * 4).map(
-    lambda t: WeightVector(*t))
-# kA .. bu log-uniform in e^[-4, 4]; A_max and l_max keep their defaults
-coefficients = st.lists(st.floats(-4.0, 4.0), min_size=11, max_size=11).map(
-    lambda t: ObjectiveCoefficients(*map(math.exp, t)))
+def _some_nonzero(values, groups):
+    """``values`` with the first member of each group that is all zero set
+    to 1: WeightVector needs a positive weight, and ObjectiveCoefficients a
+    positive coefficient in each surrogate."""
+    values = list(values)
+    for group in groups:
+        if not any(values[i] for i in group):
+            values[group[0]] = 1.0
+    return values
+
+
+# each weight 0 or in [0.05, 5], at least one of them positive
+weights = st.lists(st.one_of(st.floats(0.05, 5.0), st.just(0.0)),
+                   min_size=4, max_size=4).map(
+    lambda t: WeightVector(*_some_nonzero(t, [range(4)])))
+# kA .. bu each 0 or log-uniform in e^[-4, 4], at least one positive per
+# surrogate (kA, kl | ku, ke, k_eta | au, ae, a_eta | bA, bl, bu); A_max
+# and l_max keep their defaults
+coefficients = st.lists(
+    st.one_of(st.floats(-4.0, 4.0).map(math.exp), st.just(0.0)),
+    min_size=11, max_size=11).map(
+    lambda t: ObjectiveCoefficients(*_some_nonzero(
+        t, [range(0, 2), range(2, 5), range(5, 8), range(8, 11)])))
 barrier_weights = st.one_of(st.just(0.0),
                             st.floats(-10.0, 0.0).map(lambda k: 10.0**k))
 
@@ -150,7 +172,7 @@ def test_barrier_core_matches_numpy_reference(w, coeff, instance, mu):
         <= 1e-12 * np.max(np.abs(ref_grad))
 
     # the arrowhead holds every nonzero entry of the reference Hessian
-    hess = _dense(problem.hessian(point, mu))
+    hess = _dense(hessian(problem, point, mu))
     ref_hess = reference.hessian(np.array(z), mu)
     assert np.max(np.abs(hess - ref_hess)) <= 1e-12 * np.max(np.abs(ref_hess))
     assert not np.any(ref_hess[~ARROWHEAD])
@@ -214,14 +236,14 @@ def test_hessian_at_an_evaluated_point_is_the_one_rebuilt_from_z(
     problem = _BarrierProblem(w, coeff, bounds, cons)
     point = problem.evaluate(z, mu)
     assume(point is not None)
-    assert problem.hessian(point, mu) \
-        == problem.hessian(_rebuilt(problem, z), mu)
+    assert hessian(problem, point, mu) \
+        == hessian(problem, _rebuilt(problem, z), mu)
     # and at the point that a Newton line search accepts
-    trial = _line_search(problem, point, _newton_direction(problem, point, mu),
-                         mu)
+    trial = line_search(problem, point, newton_direction(problem, point, mu),
+                        mu)
     if trial is not None:
-        assert problem.hessian(trial, mu) \
-            == problem.hessian(_rebuilt(problem, trial[0]), mu)
+        assert hessian(problem, trial, mu) \
+            == hessian(problem, _rebuilt(problem, trial[0]), mu)
 
 
 @settings(max_examples=150, deadline=None)
@@ -237,8 +259,8 @@ def test_a_reweighted_point_is_the_evaluated_one(w, coeff, instance, mu,
     assert repr(problem.reweight(point, next_mu)) \
         == repr(problem.evaluate(z, next_mu))
     # and from the point that a Newton line search accepts
-    trial = _line_search(problem, point, _newton_direction(problem, point, mu),
-                         mu)
+    trial = line_search(problem, point, newton_direction(problem, point, mu),
+                        mu)
     if trial is not None:
         assert repr(problem.reweight(trial, next_mu)) \
             == repr(problem.evaluate(trial[0], next_mu))
@@ -298,7 +320,7 @@ def test_hessian_matches_central_differences_of_gradient(w, coeff, instance,
     problem = _BarrierProblem(w, coeff, bounds, cons)
     point = problem.evaluate(z, mu)
     assume(point is not None)
-    hess = _dense(problem.hessian(point, mu))
+    hess = _dense(hessian(problem, point, mu))
     distances = _axis_distances(problem, z)
     # every barrier gradient term is mu over a distance to a face, so this
     # bounds the size of the gradient's terms and hence their rounding
@@ -324,7 +346,7 @@ def test_cholesky_direction_is_backward_stable(w, coeff, instance, mu):
     point = problem.evaluate(z, mu)
     assume(point is not None)
     grad = point[2]
-    p = _arrowhead_solve(problem.hessian(point, mu), grad)
+    p = arrowhead_solve(hessian(problem, point, mu), grad)
     # the barrier Hessian is positive definite for mu > 0 (see solver.py)
     assert p is not None or mu == 0.0
     assume(p is not None)
@@ -347,7 +369,7 @@ def test_cholesky_solve_is_backward_stable_on_dense_matrices(k, h01, h04, g):
     s, dl, du, de, deta = (10.0**ki for ki in k)
     dA = s + h01 * h01 / dl + h04 * h04 / deta
     hess = ([dA, dl, du, de, deta], h01, h04)
-    p = _arrowhead_solve(hess, g)
+    p = arrowhead_solve(hess, g)
     assume(p is not None)  # rounding can leave a tiny Schur complement <= 0
     H, p, g = _dense(hess), np.array(p), np.array(g)
     h_norm = np.max(np.sum(np.abs(H), axis=1))
@@ -355,32 +377,21 @@ def test_cholesky_solve_is_backward_stable_on_dense_matrices(k, h01, h04, g):
     assert residual <= 1e-12 * (h_norm * np.max(np.abs(p)) + np.max(np.abs(g)))
 
 
-class _FixedHessian:
-    """Stands in for the barrier problem: every Hessian is ``hess``."""
-
-    def __init__(self, hess):
-        self.hess = hess
-
-    def hessian(self, point, mu):
-        diag, h01, h04 = self.hess
-        return list(diag), h01, h04
-
-
 # (diagonal, (A, l) entry, (A, eta) entry)
 INDEFINITE = ([2.0, -3.0, 1.0, 4.0, 1.5], 0.5, 0.3)
 GRADIENT = [1.0, -0.5, 0.25, 2.0, -1.0]
 NAN_HESSIAN = ([2.0, 3.0, math.nan, 4.0, 1.5], 0.5, 0.3)
 ZERO_ETA_PIVOT = ([2.0, 3.0, 1.0, 4.0, 0.0], 0.5, 0.3)
+# only the (z, f, g) head of an evaluated point is read with a given Hessian
+HEAD = ([0.5] * 5, 0.0, GRADIENT)
 
 
 @pytest.mark.parametrize("hess", [INDEFINITE, NAN_HESSIAN, ZERO_ETA_PIVOT],
                          ids=["indefinite", "nan", "zero-eta-pivot"])
 def test_steepest_descent_when_cholesky_fails(hess):
-    assert _arrowhead_solve(hess, GRADIENT) is None
-    # only the (z, f, g) head of an evaluated point is read
-    p = _newton_direction(_FixedHessian(hess), ([0.5] * 5, 0.0, GRADIENT),
-                          1.0)
-    assert p == [-gi for gi in GRADIENT]
+    assert arrowhead_solve(hess, GRADIENT) is None
+    assert newton_direction(None, HEAD, 1.0, hess) \
+        == [-gi for gi in GRADIENT]
 
 
 @pytest.mark.parametrize("i", range(5))
@@ -388,11 +399,97 @@ def test_steepest_descent_when_the_newton_step_overflows(i):
     # a subnormal pivot sends one component of p to +-inf
     diag = [2.0, 3.0, 1.0, 4.0, 1.5]
     diag[i] = 5e-324
-    p = _arrowhead_solve((diag, 0.0, 0.0), GRADIENT)
+    p = arrowhead_solve((diag, 0.0, 0.0), GRADIENT)
     assert p is not None and math.isinf(p[i])
-    assert _newton_direction(_FixedHessian((diag, 0.0, 0.0)),
-                             ([0.5] * 5, 0.0, GRADIENT), 1.0) \
+    assert newton_direction(None, HEAD, 1.0, (diag, 0.0, 0.0)) \
         == [-gi for gi in GRADIENT]
+
+
+# A cost-Hessian entry that breaks the elimination (None keeps the
+# problem's): a negative pivot, a nan, or, at mu = 0, a subnormal pivot
+# that sends p to +-inf.  Each leaves the step on -g.
+broken_curvatures = st.one_of(st.none(), st.tuples(
+    st.integers(0, 4), st.sampled_from([-1e300, math.nan, 5e-324])))
+
+
+def _stage_problem(w, coeff, instance, broken, stalled):
+    """A barrier problem with its cost Hessian broken as drawn; if
+    ``stalled``, its evaluations reject every line-search trial."""
+    bounds, cons, _ = instance
+    problem = _BarrierProblem(w, coeff, bounds, cons)
+    if broken is not None:
+        i, value = broken
+        diag = list(problem.cost_hess_diag)
+        diag[i] = value
+        problem.cost_hess_diag = tuple(diag)
+    if stalled:
+        evaluate = problem.evaluate
+        problem.evaluate = lambda z, mu, f_max=None: (
+            None if f_max is not None else evaluate(z, mu))
+    return problem
+
+
+@pytest.mark.parametrize("mu", [0.0, 1.0])
+@pytest.mark.parametrize("value", [-1e300, math.nan, 5e-324],
+                         ids=["negative", "nan", "subnormal"])
+@pytest.mark.parametrize("i", range(5))
+def test_a_stage_steps_along_minus_g_where_the_elimination_fails(i, value,
+                                                                 mu):
+    # a broken cost-Hessian entry in the open problem, at a point where
+    # no component of the gradient is 0: the reference direction is -g,
+    # except where mu's box curvature repairs a subnormal pivot, and the
+    # stage takes the reference step
+    problem = _stage_problem(OPEN.w, OPEN.coeff, (default_bounds(),
+                                                  OPEN.cons, None),
+                             (i, value), False)
+    point = problem.evaluate([0.3, 0.6, 0.4, 0.7, 0.2], mu)
+    direction = newton_direction(problem, point, mu)
+    assert (direction == [-gi for gi in point[2]]) \
+        is (mu == 0.0 or value != 5e-324)
+    expected = line_search(problem, point, direction, mu)
+    assert expected is not None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dockopt.solver, "_MAX_INNER_ITERATIONS", 1)
+        assert repr(_newton_stage(problem, point, mu, -1.0)) \
+            == repr((expected, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights, coefficients, instances(), barrier_weights,
+       broken_curvatures, st.booleans())
+def test_a_stage_step_is_the_reference_units_step(w, coeff, instance, mu,
+                                                  broken, stalled):
+    # one step of the written-out stage against the Hessian, elimination,
+    # direction and line search taken apart: the Newton step, its -g
+    # fallback, and the exit where the line search finds no step
+    problem = _stage_problem(w, coeff, instance, broken, stalled)
+    point = problem.evaluate(instance[2], mu)
+    assume(point is not None)
+    expected = line_search(problem, point,
+                           newton_direction(problem, point, mu), mu)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dockopt.solver, "_MAX_INNER_ITERATIONS", 1)
+        stepped, steps = _newton_stage(problem, point, mu, -1.0)
+    if expected is None:
+        assert steps == 0 and stepped is point
+    else:
+        assert steps == 1 and repr(stepped) == repr(expected)
+    if stalled:
+        assert expected is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights, coefficients, instances(), barrier_weights,
+       broken_curvatures, st.booleans(),
+       st.floats(-12.0, 0.0).map(lambda k: 10.0**k))
+def test_a_stage_is_the_reference_units_stage(w, coeff, instance, mu,
+                                              broken, stalled, tol):
+    # every step of a whole stage, and where it ends
+    problem = _stage_problem(w, coeff, instance, broken, stalled)
+    point = problem.evaluate(instance[2], mu)
+    assume(point is not None)
+    assert repr(_newton_stage(problem, point, mu, tol)) \
+        == repr(newton_stage(problem, point, mu, tol))
 
 
 # A bound on f: a float, or an int k for the point's own f moved by k ulps
@@ -441,9 +538,9 @@ def test_line_search_accepts_the_point_of_full_backtracking(w, coeff, instance,
     problem = _BarrierProblem(w, coeff, bounds, cons)
     point = problem.evaluate(z, mu)
     assume(point is not None)
-    p = _newton_direction(problem, point, mu) if direction is None \
+    p = newton_direction(problem, point, mu) if direction is None \
         else direction
-    assert repr(_line_search(problem, point, p, mu)) \
+    assert repr(line_search(problem, point, p, mu)) \
         == repr(backtracking_line_search(problem, point, p, mu))
 
 
@@ -575,6 +672,21 @@ def _solved(w, coeff, instance):
     return result.objective.J
 
 
+@settings(max_examples=100, deadline=None)
+@given(weights, coefficients, instances(clipped_points))
+def test_a_solve_is_the_one_made_of_reference_stages(w, coeff, instance):
+    # a whole solve, where an ulp that one step's rounding hides can show
+    bounds, cons, z = instance
+    x_init = DesignVector(*(lo + zi * (hi - lo) for lo, hi, zi in zip(
+        bounds.lower.as_tuple(), bounds.upper.as_tuple(), z)))
+    fused = solve(w, coeff, bounds, cons, x_init)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dockopt.solver, "_newton_stage", newton_stage)
+        reference = solve(w, coeff, bounds, cons, x_init)
+    assert repr(fused) == repr(reference)
+    assert repr(fused.outer_trace) == repr(reference.outer_trace)
+
+
 @settings(max_examples=150, deadline=None)
 @given(weights, coefficients, instances(clipped_points))
 def test_solve_converges_to_the_exact_optimum(w, coeff, instance):
@@ -601,32 +713,42 @@ def test_a_stage_ends_once_its_residual_cannot_fall(scenario, w, coeff):
     # A stage's residual is max(stationarity, mu): it steps only while its
     # gradient is above max(3e-9, mu), and ends below that unless it hits
     # the step cap or stalls, that is, its last line search finds no step
-    # or one that leaves z in place.
-    stage, search, searches = (dockopt.solver._newton_stage,
-                               dockopt.solver._line_search, [])
+    # or one that leaves z in place.  The stage's steps are read through
+    # the evaluations that it makes: a line search's trials are the
+    # evaluations bounded by its Armijo test, and the accepted one is the
+    # next step's point.
+    stage, evaluate = dockopt.solver._newton_stage, _BarrierProblem.evaluate
+    stages = []
 
     def recorded_stage(problem, point, mu, tol):
-        searches.append([])
+        stages.append((problem, [point]))
         return stage(problem, point, mu, tol)
 
-    def recorded_search(problem, point, p, mu):
-        trial = search(problem, point, p, mu)
-        searches[-1].append((point[0], max(map(abs, point[2])), trial))
-        return trial
+    def recorded_evaluate(problem, z, mu, f_max=None):
+        point = evaluate(problem, z, mu, f_max)
+        if f_max is not None and point is not None:
+            stages[-1][1].append(point)
+        return point
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dockopt.solver, "_newton_stage", recorded_stage)
-        patch.setattr(dockopt.solver, "_line_search", recorded_search)
+        patch.setattr(_BarrierProblem, "evaluate", recorded_evaluate)
         result = solve(w, coeff, scenario.bounds, scenario.constraints,
                        scenario.x_init)
-    assert len(searches) == len(result.outer_trace)
-    for steps, traced in zip(searches, result.outer_trace):
+    assert len(stages) == len(result.outer_trace)
+    for (problem, points), traced in zip(stages, result.outer_trace):
         mu, stationarity = traced.mu, traced.stationarity
-        assert all(gradient > max(3e-9, mu) for _, gradient, _ in steps)
+        gradients = [max(map(abs, point[2])) for point in points]
+        assert len(points) - 1 == traced.inner_iterations
+        assert gradients[-1] == stationarity
+        assert all(gradient > max(3e-9, mu) for gradient in gradients[:-1])
         if stationarity <= max(3e-9, mu):
             if mu >= 3e-9:
                 assert max(stationarity, mu) == mu
         elif traced.inner_iterations < _MAX_INNER_ITERATIONS:
-            z, _, trial = steps[-1]
-            assert trial is None or max(
-                abs(a - b) for a, b in zip(trial[0], z)) < 1e-15
+            # the last step left z in place, or no step is left to take
+            end = points[-1]
+            assert len(points) > 1 and max(
+                abs(a - b) for a, b in zip(end[0], points[-2][0])) < 1e-15 \
+                or line_search(problem, end,
+                               newton_direction(problem, end, mu), mu) is None

@@ -16,8 +16,9 @@ from dockopt import (ConstraintSet, DesignVector, ObjectiveCoefficients,
                      barrier_objective, default_bounds, multi_start_solve,
                      reference_coefficients, solve, total_cost)
 from dockopt.scenarios import DEFAULT_X_INIT, builtin_scenarios
-from dockopt.solver import BarrierStage, BarrierTrace, InfeasibleProblemError
-from helpers import grid_min_cost, grid_resolution_slack
+from dockopt.solver import (BarrierStage, BarrierTrace, InfeasibleProblemError,
+                            _bracketed_root)
+from helpers import enumerated_min_cost, grid_min_cost, grid_resolution_slack
 
 ONES = ObjectiveCoefficients()
 BOUNDS = default_bounds()
@@ -162,9 +163,14 @@ class TestSolve:
     def test_failed_line_search_ends_the_stage_without_progress(
             self, monkeypatch):
         # a line search that finds no step ends each stage like a step
-        # that leaves z in place: every stage runs, none takes a step
-        monkeypatch.setattr(dockopt.solver, "_line_search",
-                            lambda *args, **kwargs: None)
+        # that leaves z in place: every stage runs, none takes a step.
+        # Every trial of a line search is an evaluation bounded by its
+        # Armijo test (f_max), and each is rejected here.
+        evaluate = dockopt.solver._BarrierProblem.evaluate
+        monkeypatch.setattr(
+            dockopt.solver._BarrierProblem, "evaluate",
+            lambda problem, z, mu, f_max=None:
+            None if f_max is not None else evaluate(problem, z, mu))
         result = solve(W1111, ONES, BOUNDS, CONS, DEFAULT_X_INIT)
         assert result.status is SolverStatus.IterationLimit
         assert [stage.mu for stage in result.outer_trace] \
@@ -215,6 +221,49 @@ class TestSolve:
         assert 1e-8 < result.kkt_residual < 1e-6
         assert "u_upper" in result.active_set
 
+    def test_the_polish_gets_the_barrier_cost_bit_for_bit(self,
+                                                          monkeypatch):
+        # the barrier's J is total_cost's float at its best stage, which
+        # the rejected polish reports, so the 4-ulp test compares the
+        # polished J with that float
+        handed = []
+
+        def rejected(problem, A, J, iterations, trace):
+            handed.append((A, J, iterations, trace))
+
+        monkeypatch.setattr(dockopt.solver, "_polish", rejected)
+        for scenario in builtin_scenarios():
+            barrier = solve(scenario.weights, reference_coefficients(),
+                            scenario.bounds, scenario.constraints,
+                            scenario.x_init)
+            A, J, iterations, trace = handed.pop()
+            assert A == barrier.x_star.A
+            assert J == total_cost(barrier.x_star, scenario.weights,
+                                   reference_coefficients()).J \
+                == barrier.objective.J
+            assert (iterations, trace) \
+                == (barrier.iterations, barrier.outer_trace)
+
+    def test_a_flat_area_slope_is_bisected_to_its_root(self):
+        # kA = 0 leaves phi'' = 0 where no constraint couples A, and phi'
+        # is negative at the barrier's A: a Newton step is undefined there,
+        # so the root search bisects instead of stopping at its start
+        w = WeightVector(3.3013115848182437, 0.9916169031594363,
+                         1.8983983053513458, 0.22313873848015803)
+        coeff = ObjectiveCoefficients(
+            kA=0.0, kl=0.007087510274339303, ku=0.00969755207408767,
+            ke=49.39419628360412, k_eta=0.021767771713030765,
+            au=41.7010806572798, ae=0.000988318764260469,
+            a_eta=0.0019350574537041797, bA=0.002012445336235548,
+            bl=165.89342601030742, bu=37.50518539155744)
+        result = solve(w, coeff, BOUNDS, CONS, DEFAULT_X_INIT)
+        assert result.status is SolverStatus.Converged
+        assert result.kkt_residual <= 1e-8
+        assert abs(result.x_star.A - 0.068356) <= 1e-6
+        assert "tolerance_ratio_min" in result.active_set
+        assert abs(result.objective.J
+                   - enumerated_min_cost(w, coeff, BOUNDS, CONS)) <= 1e-12
+
     def test_only_a_certified_solve_converges(self, monkeypatch):
         # a barrier that meets the KKT tolerance on its own still needs
         # the polish's certificate
@@ -231,6 +280,27 @@ class TestSolve:
             costs = [stage.cost for stage in result.outer_trace]
             drops = sum(1 for a, b in zip(costs, costs[1:]) if b <= a + 1e-10)
             assert drops >= 0.95 * (len(costs) - 1)
+
+
+def _flat_then_rising(x):
+    # phi' = -1 with phi'' = 0 below 0.7, then 10*(x - 0.7)
+    return (-1.0, 0.0) if x < 0.7 else (10.0 * (x - 0.7), 10.0)
+
+
+def _linear_without_curvature(x):
+    # phi' rises through 0.3, but phi'' reads 0 everywhere
+    return x - 0.3, 0.0
+
+
+@pytest.mark.parametrize("slope, root", [(_flat_then_rising, 0.7),
+                                         (_linear_without_curvature, 0.3)],
+                         ids=["flat-then-rising", "no-curvature"])
+@pytest.mark.parametrize("start", [0.0, 0.2, 0.9])
+def test_bracketed_root_bisects_where_the_slope_is_flat(slope, root, start):
+    # a start where phi' < 0 and phi'' = 0 has no Newton step: the search
+    # bisects toward the root instead of stopping where it started
+    found = _bracketed_root(slope, start, 0.0, 1.0)
+    assert abs(found - root) <= 1e-15
 
 
 def test_barrier_trace_is_an_immutable_sequence_of_stages():
@@ -310,12 +380,14 @@ def test_kept_solve_results_stay_small():
     # Bytes one SolveResult keeps alive, by tracemalloc (deterministic, not
     # timed), averaged over 50 solves of a weight sweep.  Measured 2,126 B
     # with the trace as a tuple of BarrierStage objects, 1,133 B packed in
-    # an array('d'), and 1,010 B packed in bytes with shared active sets
-    # (986 B after the rest of the suite, which has met those sets).
+    # an array('d'), and 1,010 B packed in bytes with shared active sets.
+    # Each weight is solved once before the window opens, so that the
+    # active-set tuples, made once per process and shared, are not counted.
     coeff = reference_coefficients()
     weights = [WeightVector(0.5 + 0.04 * i, 1.0 + 0.02 * i, 2.5 - 0.04 * i,
                             1.5) for i in range(50)]
-    solve(weights[0], coeff, BOUNDS, CONS, DEFAULT_X_INIT)
+    for w in weights:
+        solve(w, coeff, BOUNDS, CONS, DEFAULT_X_INIT)
     gc.collect()
     tracemalloc.start()
     try:
