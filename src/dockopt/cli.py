@@ -20,9 +20,9 @@ names: ``problem.weights`` (WeightVector), ``problem.x_init``,
 ``simulation.geometry`` (DockGeometry).  ``solve`` and ``sweep`` run one
 barrier solve per weight vector from the problem's ``x_init``, so
 ``solver`` sets only the Latin-hypercube starts of ``calibrate`` (at
-most ``multistart_count``, drawn from ``seed``) and the default seed of
-``simulate`` and ``check-gradients``; the barrier schedule and tolerances
-are fixed.
+most ``multistart_count``, drawn from ``seed``), which change no answer,
+and the default seed of ``simulate`` and ``check-gradients``; the barrier
+schedule and tolerances are fixed.
 Integer fields take integral values only (``3`` or ``3.0``).  Every bad
 value, an unknown key included, is a configuration error naming its path,
 raised before any work starts.

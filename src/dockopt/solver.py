@@ -37,21 +37,21 @@ A solve is Converged only when ``_polish`` certifies it.  Whenever the
 best stage's residual is at most 1e-4, the polish solves the problem
 exactly: J is separable, u and e minimise alone, l and eta follow A in
 closed form through g1 and g2, and the optimal A is the root of the
-reduced derivative, found by Newton steps from the barrier's A inside a
-bisection bracket, bisecting where the reduced curvature is not positive.
-The exact point is accepted only if it is feasible, its explicit
-multipliers for the 10 box faces, g1 and g2 (from stationarity) are
->= -1e-8, its free components are stationary to 1e-8, and its J is at
-most the barrier's plus 4 ulp of max(1, |J|), since the exact J can round
-that far above a tightly converged barrier's.  The barrier's J is
-computed at its best stage with ``total_cost``'s expressions, so it is
-that function's float.  The certified point is reported with its own
+reduced derivative, found by Newton steps from the bracket's midpoint,
+bisecting where the reduced curvature is not positive.  The exact point is
+accepted only if it is feasible, its explicit multipliers for the 10 box
+faces, g1 and g2 (from stationarity) are >= -1e-8, and its free components
+are stationary to 1e-8.  The polish reads the problem alone, not the
+barrier's point, so the certified x* depends on the problem alone: not on
+the start, the barrier's path or the solver settings.  One cross-check
+reads the barrier: the exact J must be at most the best stage's J plus 4
+ulp of max(1, |J|), both in the kernel's expression
+sum((q_i*x_i - b_i)*x_i), since the exact J can round that far above a
+tightly converged barrier's.  The certified point is reported with its own
 residual and active set, and the barrier's iterations and trace.
 Otherwise, and whenever the best residual is above 1e-4 (the barrier
 itself failed: a truncated schedule, a line search that finds no step),
-the barrier's best stage is reported as IterationLimit.  Each solve
-builds one SolveResult: the barrier's is built only when it is the
-answer.
+the barrier's best stage is reported as IterationLimit.
 
 ``SolveResult.outer_trace`` is a ``BarrierTrace``: each stage's mu, cost
 and stationarity as float64 and its inner count as uint16, 26 bytes per
@@ -88,18 +88,16 @@ overflow; the direction is then -g.
 So one solve from any start reaches the optimum, and ``solve`` is the
 solver.  ``multi_start_solve`` runs it from Latin-hypercube start points
 (deterministic in the seed), one start at a time, and stops at the first
-run that converged.  It remains because calibration uses it: the
-reference coefficients and the calibration goldens were fitted with it,
-and the benchmark re-solves with it.  Its starts come from
-``latin_hypercube``, numpy's generator driven exactly as
-``scipy.stats.qmc.LatinHypercube`` drives it, so they are the points
-those fits used, bit for bit, without loading scipy.stats.  They are
-drawn once per (count, seed) and kept, since every solve of a weight
-study or a calibration starts from the same points.  The module
-attribute ``qmc`` (scipy.stats.qmc, imported on first access) is no
-longer used here; it stays only because bench/tracing.py reads and
-restores it.  Importing this module and calling ``solve`` load neither
-scipy nor numpy.
+run that converged.  No answer depends on the starts: each of the 243
+problems of the benchmark's sweep (seeds 1-3) and 500 random ones gives
+the same x*, bit for bit, from all 16 starts of ``latin_hypercube(16, 0)``.
+It remains because calibration uses it and bench/ calls and wraps it.
+Its starts are numpy's generator driven exactly as
+``scipy.stats.qmc.LatinHypercube`` drives it, without loading scipy.stats,
+drawn once per (count, seed) and kept.  The module attribute ``qmc``
+(scipy.stats.qmc, imported on first access) is no longer used here; it
+stays only because bench/tracing.py reads and restores it.  Importing
+this module and calling ``solve`` load neither scipy nor numpy.
 
 The solve loop works on plain Python floats, evaluated with
 ``math.log``/``math.log1p``.  On vectors this short, numpy's per-call
@@ -152,14 +150,13 @@ import operator
 import struct
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
-from math import isfinite, log, log1p
+from math import isfinite, log, log1p, ulp
 
 from .domain import DesignBounds, DesignVector, WeightVector, check_integer
 # gradient_at and total_cost_arrays are not called here, but stay names of
 # this module: bench/tracing.py wraps them by name.
 from .objective import (ObjectiveCoefficients, ObjectiveValues, gradient_at,
-                        objective_terms, quadratic_form, total_cost,
-                        total_cost_arrays)
+                        quadratic_form, total_cost, total_cost_arrays)
 
 _VAR_NAMES = tuple(f.name for f in fields(DesignVector))
 # The 12 inequality faces in the order of _BarrierProblem.scaled_slacks.
@@ -354,9 +351,11 @@ class SolveResult:
     else the barrier's best iterate (see the module docstring);
     ``kkt_residual`` is that point's KKT residual and ``active_set`` its
     active faces by name (``A_lower`` .. ``eta_upper``, ``volume_min``,
-    ``tolerance_ratio_min``).
-    ``iterations`` counts the barrier's Newton steps and ``outer_trace``
-    holds its stages.
+    ``tolerance_ratio_min``; a constraint with g == 0 is active).  A
+    Converged result's x_star, objective, kkt_residual, constraint_values
+    and active_set depend on the problem alone, not on the start or the
+    solver settings.  ``iterations`` counts the barrier's Newton steps and
+    ``outer_trace`` holds its stages; they depend on the start.
     """
 
     x_star: DesignVector
@@ -723,8 +722,7 @@ def _solve_from_z(problem: _BarrierProblem, z0: list[float]) -> SolveResult:
     pack = _STAGE.pack
     stages: list[bytes] = []  # mu, cost, stationarity, inner of each stage
     iterations = 0
-    best_residual = math.inf
-    best_z = z
+    best_residual, best_z, best_cost = math.inf, z, point[3]
 
     for mu in _MU_SCHEDULE:
         # Below mu, a smaller gradient cannot lower the residual.
@@ -739,35 +737,29 @@ def _solve_from_z(problem: _BarrierProblem, z0: list[float]) -> SolveResult:
         stages.append(pack(mu, cost, stationarity, inner))
         iterations += inner
         if residual < best_residual:
-            best_residual, best_z = residual, z
+            best_residual, best_z, best_cost = residual, z, cost
         if best_residual <= _POLISH_RESIDUAL \
                 and residual > 10.0 * best_residual:
             break  # refinement exhausted: polish the best stage
 
-    trace = BarrierTrace._packed(b"".join(stages))
-    x = problem.x_of_z(best_z)
-    if best_residual <= _POLISH_RESIDUAL:
-        # J at the best stage with total_cost's expressions, its float.
-        h, c, d, v = objective_terms(*x, problem.coeff)
-        w = problem.w
-        certified = _polish(problem, x[0],
-                            w.p * h + w.q * c - w.r * d - w.s * v,
-                            iterations, trace)
-        if certified is not None:
-            return certified
+    # The exact point is the answer if its J is at most the best stage's
+    # plus 4 ulp, both in the kernel's expression.
+    exact = _polish(problem) if best_residual <= _POLISH_RESIDUAL else None
+    if exact is not None \
+            and exact[1] <= best_cost + 4.0 * ulp(max(1.0, abs(best_cost))):
+        x, _, residual, constraint_values, mask = exact
+        status = SolverStatus.Converged
+    else:
+        x = problem.x_of_z(best_z)
+        residual, constraint_values = best_residual, problem.constraints(x)
+        mask = sum(1 << i for i, s in enumerate(problem.scaled_slacks(best_z))
+                   if s < _ACTIVE_SLACK)
+        status = SolverStatus.IterationLimit
     x_star = DesignVector(*x)
-    return SolveResult(
-        x_star=x_star,
-        objective=total_cost(x_star, problem.w, problem.coeff),
-        kkt_residual=best_residual,
-        constraint_values=problem.constraints(x),
-        active_set=_active_set(sum(
-            1 << i for i, s in enumerate(problem.scaled_slacks(best_z))
-            if s < _ACTIVE_SLACK)),
-        iterations=iterations,
-        status=SolverStatus.IterationLimit,
-        outer_trace=trace,
-    )
+    return SolveResult(x_star, total_cost(x_star, problem.w, problem.coeff),
+                       residual, constraint_values, _active_set(mask),
+                       iterations, status,
+                       BarrierTrace._packed(b"".join(stages)))
 
 
 def _active_set(mask: int) -> tuple[str, ...]:
@@ -781,14 +773,11 @@ def _active_set(mask: int) -> tuple[str, ...]:
     return active
 
 
-def _polish(problem: _BarrierProblem, A_barrier: float, J: float,
-            iterations: int, trace: BarrierTrace) -> SolveResult | None:
-    """Certify a continuation with the exact optimum of the reduced
-    problem, or return None if that point fails verification.
-
-    ``A_barrier`` is A at the barrier's best stage and ``J`` the cost
-    there, equal to ``total_cost``'s J bit for bit; ``iterations`` and
-    ``trace`` are the barrier's, and the certified result reports them.
+def _polish(problem: _BarrierProblem) -> tuple | None:
+    """The exact optimum, read from the problem alone, as ``(x, J,
+    residual, (g1, g2), mask)``, or None if it fails verification: x as
+    five floats, J in the kernel's expression ``sum((q_i*x_i - b_i)*x_i)``,
+    and the active faces as bits (bit i for ``_SLACK_NAMES[i]``).
 
     Solve, with dJ/dx_i = quad_i*x_i - lin_i (J is separable; quad = 2q
     and lin = b of ``quadratic_form``): u and e minimise alone at
@@ -798,14 +787,18 @@ def _polish(problem: _BarrierProblem, A_barrier: float, J: float,
     phi(A) = J(A, l*(A), u*, e*, eta*(A)) is convex on
     [max(A_lo, V/l_hi), min(A_hi, eta_hi/R)], because it partially
     minimises a convex problem (Boyd & Vandenberghe, section 3.2.5).  So A*
-    is where phi' changes sign, found by ``_bracketed_root`` from the
-    barrier's A.  The active set is the faces that x* meets.  Verify: x* is
-    in the box and meets g1 >= 0 and g2 >= 0, every multiplier (from
-    stationarity, in the barrier's scaled units) is >= -1e-8, the free
-    components' stationarity is <= 1e-8, and J(x*) is at most the
-    barrier's J plus 4 ulp of max(1, |J|).  The residual reported is the
-    largest of those violations.  The work is written out on the five
-    scalars, as ``_newton_stage``'s is.
+    is where phi' changes sign, found by ``_bracketed_root``.  The active
+    set is the faces that x* meets, a constraint with g == 0 included.
+    Verify: x* is in the box and meets g1 >= 0 and g2 >= 0, every
+    multiplier (from stationarity, in the barrier's scaled units) is
+    >= -1e-8, and the free components' stationarity is <= 1e-8.  The
+    residual is the largest of those violations.  Where l (eta) meets both
+    a bound and g1 (g2), more faces meet than (A, l, eta) can determine
+    when a bound or the other constraint's corner fixes A too.  g1's
+    (g2's) multiplier is then not unique, and the residual is the least
+    over its breakpoints: 0, the value that zeroes l's (eta's) bound
+    multiplier and the value that A's equation gives.  The work is written
+    out on the five scalars, as ``_newton_stage``'s is.
     """
     lo0, lo1, lo2, lo3, lo4 = problem.lb
     hi0, hi1, hi2, hi3, hi4 = problem.ub
@@ -855,7 +848,7 @@ def _polish(problem: _BarrierProblem, A_barrier: float, J: float,
     elif slope(b)[0] <= 0.0:
         A = b
     else:
-        A = _bracketed_root(slope, A_barrier, a, b)
+        A = _bracketed_root(slope, a, b)
 
     # Corners, where l (eta) meets a bound and g1 (g2) at once: the ends
     # that V/l_hi and eta_hi/R set, and the jumps of phi' at V/l_lo (if
@@ -899,17 +892,13 @@ def _polish(problem: _BarrierProblem, A_barrier: float, J: float,
 
     # Multipliers from stationarity in z: dJ/dz_i = sum of multiplier times
     # face gradient, the faces being z_i >= 0, 1 - z_i >= 0, g1/g1_scale
-    # and g2/g2_scale.  Where l (eta) meets both a bound and g1 (g2), A's
-    # equation gives g1's (g2's) multiplier.
+    # and g2/g2_scale.
     lo_A, lo_l, lo_u, lo_e, lo_eta = (A == lo0, l == lo1, u == lo2, e == lo3,
                                       eta == lo4)
     hi_A, hi_l, hi_u, hi_e, hi_eta = (A == hi0, l == hi1, u == hi2, e == hi3,
                                       eta == hi4)
-    fixed_A, fixed_l, fixed_eta = lo_A or hi_A, lo_l or hi_l, lo_eta or hi_eta
-    corner_g1 = on_g1 and fixed_l
-    corner_g2 = on_g2 and fixed_eta and R > 0.0
-    if (corner_g1 or corner_g2) and fixed_A or corner_g1 and corner_g2:
-        return None  # more active faces than (A, l, eta) can determine
+    corner_g1 = on_g1 and (lo_l or hi_l)
+    corner_g2 = on_g2 and (lo_eta or hi_eta)
     dA = (qA * A - bA) * r0
     dl = (ql * l - bl) * r1
     du = (qu * u - bu) * r2
@@ -918,48 +907,56 @@ def _polish(problem: _BarrierProblem, A_barrier: float, J: float,
     g1_A, g1_l = l * r0 / problem.g1_scale, A * r1 / problem.g1_scale
     g2_A = -eta / (A * A) * r0 / problem.g2_scale
     g2_eta = r4 / A / problem.g2_scale
-    mu1 = dl / g1_l if on_g1 and not fixed_l else 0.0
-    mu2 = deta / g2_eta if on_g2 and not fixed_eta else 0.0
-    if corner_g1:
-        mu1 = (dA - mu2 * g2_A) / g1_A
-    elif corner_g2:
-        mu2 = (dA - mu1 * g1_A) / g2_A
-    # What is left of each component's gradient: the multiplier of a lower
-    # face it meets, minus that of an upper face (whose gradient is -1),
-    # and otherwise its stationarity.
-    rest = dA - mu1 * g1_A - mu2 * g2_A
-    rest_A = -rest if lo_A else rest if hi_A else abs(rest)
-    rest = dl - mu1 * g1_l
-    rest_l = -rest if lo_l else rest if hi_l else abs(rest)
     rest_u = -du if lo_u else du if hi_u else abs(du)
     rest_e = -de if lo_e else de if hi_e else abs(de)
-    rest = deta - mu2 * g2_eta
-    rest_eta = -rest if lo_eta else rest if hi_eta else abs(rest)
-    residual = max(0.0, -mu1, -mu2, rest_A, rest_l, rest_u, rest_e, rest_eta)
+
+    # The largest violation with multipliers mu1 and mu2 of g1 and g2: the
+    # rest of each component's gradient is the multiplier of a lower face it
+    # meets, minus an upper face's (gradient -1), else its stationarity.
+    def violation(mu1: float, mu2: float) -> float:
+        rest = dA - mu1 * g1_A - mu2 * g2_A
+        rest_A = -rest if lo_A else rest if hi_A else abs(rest)
+        rest = dl - mu1 * g1_l
+        rest_l = -rest if lo_l else rest if hi_l else abs(rest)
+        rest = deta - mu2 * g2_eta
+        rest_eta = -rest if lo_eta else rest if hi_eta else abs(rest)
+        return max(0.0, -mu1, -mu2, rest_A, rest_l, rest_u, rest_e, rest_eta)
+
+    # g1's multiplier is 0 off g1, l's equation gives it where g1 holds a
+    # free l, and where l meets a bound and g1 (a corner) it is free; g2's
+    # likewise with eta.  The least violation is taken over the vertices
+    # of the free multipliers' polyhedron: its candidates, 0 and the value
+    # that zeroes l's (eta's) bound multiplier, paired where a bound holds
+    # A, and each with the value that A's equation then gives the other.
+    mu1s = (0.0, dl / g1_l) if corner_g1 else (dl / g1_l,) if on_g1 \
+        else (0.0,)
+    mu2s = (0.0, deta / g2_eta) if corner_g2 else (deta / g2_eta,) if on_g2 \
+        else (0.0,)
+    pairs = [(mu1, mu2) for mu1 in mu1s for mu2 in mu2s] \
+        if lo_A or hi_A or not (corner_g1 or corner_g2) else []
+    if corner_g1:
+        pairs += [((dA - mu2 * g2_A) / g1_A, mu2) for mu2 in mu2s]
+    if corner_g2:
+        pairs += [(mu1, (dA - mu1 * g1_A) / g2_A) for mu1 in mu1s]
+    residual = min(violation(mu1, mu2) for mu1, mu2 in pairs)
     if not residual <= _KKT_TOLERANCE:
         return None
-    x_star = DesignVector(A, l, u, e, eta)
-    objective = total_cost(x_star, problem.w, problem.coeff)
-    if not objective.J <= J + 4.0 * math.ulp(max(1.0, abs(J))):
-        return None
-    return SolveResult(
-        x_star=x_star, objective=objective, kkt_residual=residual,
-        constraint_values=(g1, g2),
-        active_set=_active_set(
+    q0, q1, q2, q3, q4 = problem.q
+    J = ((q0 * A - bA) * A + (q1 * l - bl) * l + (q2 * u - bu) * u
+         + (q3 * e - be) * e + (q4 * eta - beta) * eta)
+    return ((A, l, u, e, eta), J, residual, (g1, g2),
             lo_A | lo_l << 1 | lo_u << 2 | lo_e << 3 | lo_eta << 4
             | hi_A << 5 | hi_l << 6 | hi_u << 7 | hi_e << 8 | hi_eta << 9
-            | on_g1 << 10 | on_g2 << 11),
-        iterations=iterations, status=SolverStatus.Converged,
-        outer_trace=trace)
+            | (on_g1 or g1 == 0.0) << 10 | (on_g2 or g2 == 0.0) << 11)
 
 
-def _bracketed_root(slope, x: float, a: float, b: float) -> float:
+def _bracketed_root(slope, a: float, b: float) -> float:
     """The root of the nondecreasing ``slope(x)[0]`` on [a, b], where it is
-    negative at a and positive at b: Newton steps on ``slope(x)[1]`` from x,
-    replaced by bisection wherever that curvature is not positive (where
-    phi is flat, a Newton step is undefined) or a step would leave the
-    bracket."""
-    x = min(max(x, a), b)
+    negative at a and positive at b: Newton steps on ``slope(x)[1]`` from
+    the midpoint, which the bracket alone fixes, replaced by bisection
+    wherever that curvature is not positive (where phi is flat, a Newton
+    step is undefined) or a step would leave the bracket."""
+    x = 0.5 * (a + b)
     for _ in range(_MAX_ROOT_STEPS):
         value, curvature = slope(x)
         if value == 0.0:

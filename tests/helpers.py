@@ -502,3 +502,13 @@ def newton_stage(problem, point, mu, tol):
         if moved < 1e-15:
             break
     return point, iterations
+
+
+def certified_answer(result) -> str:
+    """The parts of a SolveResult that its problem alone fixes, as one
+    repr, so that equal means equal bit for bit: the status, x*, the
+    objective, the KKT residual, the constraint values and the active
+    set."""
+    return repr((result.status, result.x_star, result.objective,
+                 result.kkt_residual, result.constraint_values,
+                 result.active_set))

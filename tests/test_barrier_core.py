@@ -9,11 +9,14 @@ Armijo test and that line search against full backtracking, the
 written-out Newton step, stage and solve against the reference units of
 tests/helpers.py, the repair to a strictly feasible start and the
 repaired starts kept per problem shape, each stage's end against the
-stopping rule, and whole solves against two exact oracles: a bisection on
-the reduced derivative and an enumeration of active faces.  Weights and
-coefficients are drawn with zeros wherever their validators allow them."""
+stopping rule, whole solves against two exact oracles (a bisection on
+the reduced derivative and an enumeration of active faces, at vertices
+where a constraint meets two bounds too), and certified answers that are
+the same from every start.  Weights and coefficients are drawn with zeros
+wherever their validators allow them."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -32,11 +35,11 @@ from dockopt.solver import (_MARGIN, _MAX_INNER_ITERATIONS,
                             _REPAIRED_STARTS, InfeasibleProblemError,
                             _BarrierProblem, _newton_stage,
                             _repair_to_interior, _repaired_start,
-                            interior_anchor)
+                            interior_anchor, latin_hypercube)
 from helpers import (ReferenceBarrier, arrowhead_solve,
-                     backtracking_line_search, enumerated_min_cost,
-                     exact_min_cost, hessian, line_search, newton_direction,
-                     newton_stage)
+                     backtracking_line_search, certified_answer,
+                     enumerated_min_cost, exact_min_cost, hessian,
+                     line_search, newton_direction, newton_stage)
 
 EPS = np.finfo(float).eps
 
@@ -55,14 +58,20 @@ def _some_nonzero(values, groups):
 weights = st.lists(st.one_of(st.floats(0.05, 5.0), st.just(0.0)),
                    min_size=4, max_size=4).map(
     lambda t: WeightVector(*_some_nonzero(t, [range(4)])))
-# kA .. bu each 0 or log-uniform in e^[-4, 4], at least one positive per
-# surrogate (kA, kl | ku, ke, k_eta | au, ae, a_eta | bA, bl, bu); A_max
-# and l_max keep their defaults
-coefficients = st.lists(
-    st.one_of(st.floats(-4.0, 4.0).map(math.exp), st.just(0.0)),
-    min_size=11, max_size=11).map(
-    lambda t: ObjectiveCoefficients(*_some_nonzero(
-        t, [range(0, 2), range(2, 5), range(5, 8), range(8, 11)])))
+
+
+def coefficient_sets(low, high):
+    """kA .. bu each 0 or log-uniform in e^[low, high], at least one
+    positive per surrogate (kA, kl | ku, ke, k_eta | au, ae, a_eta |
+    bA, bl, bu); A_max and l_max keep their defaults."""
+    return st.lists(
+        st.one_of(st.floats(low, high).map(math.exp), st.just(0.0)),
+        min_size=11, max_size=11).map(
+        lambda t: ObjectiveCoefficients(*_some_nonzero(
+            t, [range(0, 2), range(2, 5), range(5, 8), range(8, 11)])))
+
+
+coefficients = coefficient_sets(-4.0, 4.0)
 barrier_weights = st.one_of(st.just(0.0),
                             st.floats(-10.0, 0.0).map(lambda k: 10.0**k))
 
@@ -697,13 +706,55 @@ def test_solve_converges_to_the_exact_optimum(w, coeff, instance):
     assert abs(J - best) <= 1e-12 * max(1.0, abs(J))
 
 
-@settings(max_examples=150, deadline=None)
-@given(weights, coefficients, instances(clipped_points))
+@st.composite
+def vertex_instances(draw):
+    """A box, a point z and thresholds that put a vertex of the box on a
+    constraint face: R = eta_b/A_b for a bound A_b of A and a bound eta_b
+    of eta, and V either a share of the box's largest A*l or A_b*l_b for a
+    bound of A and one of l.  Thresholds that leave no strictly feasible
+    point are not drawn."""
+    bounds = draw(boxes)
+    lo, hi = bounds.lower, bounds.upper
+    R = draw(st.sampled_from([lo.eta, hi.eta])) \
+        / draw(st.sampled_from([lo.A, hi.A]))
+    V = draw(st.one_of(
+        threshold_fractions.map(lambda a: a * hi.A * hi.l),
+        st.builds(operator.mul, st.sampled_from([lo.A, hi.A]),
+                  st.sampled_from([lo.l, hi.l]))))
+    cons = ConstraintSet(V, R)
+    try:
+        interior_anchor(bounds, cons)
+    except InfeasibleProblemError:
+        assume(False)
+    return bounds, cons, draw(clipped_points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights, coefficients,
+       st.one_of(instances(clipped_points), vertex_instances()))
 def test_solve_matches_the_active_set_enumeration(w, coeff, instance):
+    # at a vertex instance, where a bound fixes A and l (eta) meets a bound
+    # and g1 (g2), g1's (g2's) multiplier is not unique
     J = _solved(w, coeff, instance)
     bounds, cons, _ = instance
     best = enumerated_min_cost(w, coeff, bounds, cons)
     assert abs(J - best) <= 1e-12 * max(1.0, abs(J))
+
+
+LATIN_STARTS = [DesignVector(*(lo + zi * (hi - lo) for lo, hi, zi in zip(
+    default_bounds().lower.as_tuple(), default_bounds().upper.as_tuple(), z)))
+    for z in latin_hypercube(16, 0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights, coefficient_sets(-7.0, 6.0))  # the calibration's range
+def test_the_certified_answer_does_not_depend_on_the_start(w, coeff):
+    # the polish reads the problem alone, so every start is certified with
+    # the same x*, J, residual and active set, bit for bit
+    results = [solve(w, coeff, default_bounds(), ConstraintSet(), x_init)
+               for x_init in LATIN_STARTS]
+    assert all(result.converged for result in results)
+    assert len({certified_answer(result) for result in results}) == 1
 
 
 @settings(max_examples=60, deadline=None)

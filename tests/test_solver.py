@@ -18,7 +18,8 @@ from dockopt import (ConstraintSet, DesignVector, ObjectiveCoefficients,
 from dockopt.scenarios import DEFAULT_X_INIT, builtin_scenarios
 from dockopt.solver import (BarrierStage, BarrierTrace, InfeasibleProblemError,
                             _bracketed_root)
-from helpers import enumerated_min_cost, grid_min_cost, grid_resolution_slack
+from helpers import (certified_answer, enumerated_min_cost, grid_min_cost,
+                     grid_resolution_slack)
 
 ONES = ObjectiveCoefficients()
 BOUNDS = default_bounds()
@@ -221,28 +222,59 @@ class TestSolve:
         assert 1e-8 < result.kkt_residual < 1e-6
         assert "u_upper" in result.active_set
 
-    def test_the_polish_gets_the_barrier_cost_bit_for_bit(self,
-                                                          monkeypatch):
-        # the barrier's J is total_cost's float at its best stage, which
-        # the rejected polish reports, so the 4-ulp test compares the
-        # polished J with that float
-        handed = []
+    @pytest.mark.parametrize("above, status", [
+        (False, SolverStatus.Converged), (True, SolverStatus.IterationLimit)],
+        ids=["within-4-ulp", "above-4-ulp"])
+    def test_an_exact_point_costlier_than_the_best_stage_is_not_certified(
+            self, monkeypatch, above, status):
+        # the exact point is certified only if its J is at most the best
+        # stage's J plus 4 ulp of max(1, |J|); one float above that, the
+        # barrier's best stage is the answer, as if the polish had failed
+        polish, raised = dockopt.solver._polish, []
 
-        def rejected(problem, A, J, iterations, trace):
-            handed.append((A, J, iterations, trace))
+        def costlier(problem):
+            x, _, *rest = polish(problem)
+            return (x, raised[-1], *rest)
 
-        monkeypatch.setattr(dockopt.solver, "_polish", rejected)
         for scenario in builtin_scenarios():
-            barrier = solve(scenario.weights, reference_coefficients(),
-                            scenario.bounds, scenario.constraints,
-                            scenario.x_init)
-            A, J, iterations, trace = handed.pop()
-            assert A == barrier.x_star.A
-            assert J == total_cost(barrier.x_star, scenario.weights,
-                                   reference_coefficients()).J \
-                == barrier.objective.J
-            assert (iterations, trace) \
-                == (barrier.iterations, barrier.outer_trace)
+            args = (scenario.weights, reference_coefficients(),
+                    scenario.bounds, scenario.constraints, scenario.x_init)
+            certified = solve(*args)
+            with monkeypatch.context() as patch:
+                patch.setattr(dockopt.solver, "_polish", lambda problem: None)
+                barrier = solve(*args)
+            # the best stage is the first of least residual
+            best = min(barrier.outer_trace,
+                       key=lambda stage: max(stage.stationarity, stage.mu))
+            bound = best.cost + 4.0 * math.ulp(max(1.0, abs(best.cost)))
+            raised.append(math.nextafter(bound, math.inf) if above else bound)
+            with monkeypatch.context() as patch:
+                patch.setattr(dockopt.solver, "_polish", costlier)
+                result = solve(*args)
+            assert result.status is status
+            assert repr(result) == repr(barrier if above else certified)
+
+    @pytest.mark.parametrize("w", [WeightVector(0.01, 1.0, 0.01, 20.0),
+                                   WeightVector(0.01, 0.01, 5.0, 5.0)],
+                             ids=["eta-on-the-ratio-face", "eta-free"])
+    def test_a_vertex_on_the_ratio_face_is_certified(self, w):
+        # with R = eta_hi/A_hi, the optimum puts A and eta on their upper
+        # bounds and so meets g2 as well: g2's multiplier is not unique
+        # where the free eta lies below R*A, and g2 is active with g2 == 0
+        # in both
+        cons = ConstraintSet(0.025, 1.0)
+        result = solve(w, ONES, BOUNDS, cons, DEFAULT_X_INIT)
+        assert result.status is SolverStatus.Converged
+        assert result.kkt_residual <= 1e-8
+        assert result.constraint_values == (2.975, 0.0)
+        assert {"A_upper", "eta_upper", "tolerance_ratio_min"} \
+            <= set(result.active_set)
+        J = result.objective.J
+        assert abs(J - enumerated_min_cost(w, ONES, BOUNDS, cons)) \
+            <= 1e-12 * max(1.0, abs(J))
+        if w.s == 20.0:
+            assert result.x_star.as_tuple() == (1.0, 3.0, 1.0, 0.177, 1.0)
+            assert J == pytest.approx(-19.320147, abs=1e-12)
 
     def test_a_flat_area_slope_is_bisected_to_its_root(self):
         # kA = 0 leaves phi'' = 0 where no constraint couples A, and phi'
@@ -282,24 +314,26 @@ class TestSolve:
             assert drops >= 0.95 * (len(costs) - 1)
 
 
-def _flat_then_rising(x):
-    # phi' = -1 with phi'' = 0 below 0.7, then 10*(x - 0.7)
-    return (-1.0, 0.0) if x < 0.7 else (10.0 * (x - 0.7), 10.0)
+def _flat_then_rising(root):
+    # phi' = -1 with phi'' = 0 below the root, then 10*(x - root)
+    return lambda x: (-1.0, 0.0) if x < root else (10.0 * (x - root), 10.0)
 
 
-def _linear_without_curvature(x):
-    # phi' rises through 0.3, but phi'' reads 0 everywhere
-    return x - 0.3, 0.0
+def _linear_without_curvature(root):
+    # phi' rises through the root, but phi'' reads 0 everywhere
+    return lambda x: (x - root, 0.0)
 
 
-@pytest.mark.parametrize("slope, root", [(_flat_then_rising, 0.7),
-                                         (_linear_without_curvature, 0.3)],
+@pytest.mark.parametrize("slope, offset", [(_flat_then_rising, 0.7),
+                                           (_linear_without_curvature, 0.3)],
                          ids=["flat-then-rising", "no-curvature"])
-@pytest.mark.parametrize("start", [0.0, 0.2, 0.9])
-def test_bracketed_root_bisects_where_the_slope_is_flat(slope, root, start):
-    # a start where phi' < 0 and phi'' = 0 has no Newton step: the search
-    # bisects toward the root instead of stopping where it started
-    found = _bracketed_root(slope, start, 0.0, 1.0)
+@pytest.mark.parametrize("a", [0.0, 0.2, 0.9])
+def test_bracketed_root_bisects_where_the_slope_is_flat(slope, offset, a):
+    # the search starts at the midpoint of the bracket [a, a + 1], where
+    # phi'' = 0: it has no Newton step there, and bisects toward the root
+    # instead of stopping where it started
+    root = a + offset
+    found = _bracketed_root(slope(root), a, a + 1.0)
     assert abs(found - root) <= 1e-15
 
 
@@ -465,11 +499,10 @@ class TestMultiStart:
             result = multi_start_solve(scenario.weights, ONES, scenario.bounds,
                                        scenario.constraints, FAST)
             assert result.converged
-            # convex problem: one start reaches the multi-start optimum
+            # the certified answer depends on the problem alone
             single = solve(scenario.weights, ONES, scenario.bounds,
                            scenario.constraints, scenario.x_init)
-            J = result.objective.J
-            assert abs(single.objective.J - J) <= 1e-9 * max(1.0, abs(J))
+            assert certified_answer(single) == certified_answer(result)
 
     def test_deterministic_bitwise(self):
         a = multi_start_solve(W1111, ONES, BOUNDS, CONS, FAST)
