@@ -21,7 +21,8 @@ whose 10 constants ``quadratic_form`` computes once per (weights,
 coefficients).  ``total_cost_arrays``, ``gradient_at`` (2q*x - b) and the
 solver's barrier kernel are built on them, each as the same expressions
 in the same order, so the kernel's J and gradient are those functions'
-floats bit for bit.  The J of ``total_cost`` sums the four scores, so it
+floats bit for bit.  That claim covers J and its gradient only: the
+kernel's log-barrier sum is its own (see ``dockopt.solver``).  The J of ``total_cost`` sums the four scores, so it
 may differ from them in the last bits.
 
 ``total_cost_arrays`` on large arrays is limited by memory traffic, not

@@ -103,36 +103,57 @@ The solve loop works on plain Python floats, evaluated with
 ``math.log``/``math.log1p``.  On vectors this short, numpy's per-call
 overhead costs far more than the arithmetic, and so do the per-element
 bytecode of ``zip``, ``map`` and comprehensions and the calls and lists of
-small helper functions.  So one Newton step is written out on the five
-scalars inside ``_newton_stage``'s loop: the arrowhead Hessian (its 5
-diagonal entries and the two couplings), its elimination, the descent
-test and the Armijo line search.  The only function of this module that
-a step calls is the trial evaluation, and the only list it builds is
-each trial point.  Its expressions are, in their order, those of the
-reference units that the tests hold each step to: the Hessian, the
-arrowhead solve, the Newton direction and the line search in
-tests/helpers.py.  A stage's exit tests, the per-stage bookkeeping of
-``_solve_from_z``, ``_polish`` and the repair's segment are written out
-on scalars too.
+small helper functions and builtins.  So one Newton step is written out on
+the five scalars inside ``_newton_stage``'s loop: the arrowhead Hessian
+(its 5 diagonal entries and the two couplings), its elimination, the
+descent test and the Armijo line search.  The only function of this
+module that a step calls is the trial evaluation, and the only list it
+builds is each trial point.  Its expressions are, in their order, those
+of the reference units that the tests hold each step to: the Hessian,
+the arrowhead solve, the Newton direction and the line search in
+tests/helpers.py.  A stage's gradient test and its no-progress test are
+chained comparisons, -tol <= g_i <= tol and -1e-15 < t_i - z_i < 1e-15,
+not a max of abs values: on finite values they decide alike.  A nan
+gradient component fails the gradient test (max(abs(...)) would read it
+as converged in position 0 only), and the step from it finds no interior
+trial, so such a stage takes no step either way.  The per-stage
+bookkeeping of ``_solve_from_z``, ``_polish`` and the repair's segment are
+written out on scalars too.
 
 Each trial point is evaluated once, in one fused pass
 (``_BarrierProblem.evaluate``): it rejects a point that is not strictly
 interior, then computes x, g1, g2, J and the barrier value, and the line
 search rejects a trial whose value fails the Armijo bound there, before
-its gradient is built (2,886 of the 10,002 trials of an 81-point weight
-sweep).  An accepted point carries its value and gradient and keeps A, l,
-eta, g1 and g2, and the next step's Hessian reads them from it.  J and
-its gradient are built on the 10 constants of
+its gradient is built (4,203 of the 10,691 trials of the benchmark's
+81-point weight sweep, seed 1).  An accepted point carries its value and
+gradient and keeps A, l, eta, g1 and g2, and the next step's Hessian
+reads them from it.  J and its gradient are built on the 10 constants of
 ``dockopt.objective.quadratic_form`` (J = sum((q_i*x_i - b_i)*x_i),
 dJ/dx_i = 2q_i*x_i - b_i), computed once per problem, with the
 operations, in the order, of ``total_cost_arrays`` and ``gradient_at``,
 so they are those functions' floats bit for bit.
 
+The log-barrier sum is held to no other function's floats.  Its ten box
+terms are the logs of two products, z0(1-z0)z1(1-z1)z2(1-z2) and
+z3(1-z3)z4(1-z4), each factor in (0, 1/4]: with log(g1) and log(g2),
+four log calls per trial instead of twelve.  Where a product is below the
+smallest normal float, the ten terms are summed one by one: a subnormal
+product has lost its precision, and math.log raises on 0.  The two
+constraint logs stay apart, because a slack can be as small as its
+threshold and ConstraintSet accepts subnormal ones.  The grouping moves
+the barrier value by a few ulp of its log terms, so at most it could move
+which trial a line search accepts.  It reaches no certified answer: a
+Converged result's x*, J, residual and active set come from ``_polish``,
+which reads the problem alone, and the cross-check compares J, not
+barrier values.  (Measured against the term-by-term sum: every solve of
+the benchmark's sweep seeds 1-3, its calibration seeds 1-2 and 1,500
+random problems took the same Newton steps and the same trace.)
+
 Work that cannot change a solve's answer is done once.  An evaluated
 point also keeps its log-barrier sum.  x, g1, g2, J and that sum do not
 depend on mu, so each stage's first point, where the last stage ended, is
 built from them at the new mu (``_BarrierProblem.reweight``), without the
-12 logs, J or the interior tests; f and g use ``evaluate``'s
+logs, J or the interior tests; f and g use ``evaluate``'s
 expressions in its order, so the point is ``evaluate``'s bit for bit.  A
 start is repaired into the interior (``_repair_to_interior``) once per
 bounds, constraints and start point, the only inputs the repair reads,
@@ -148,6 +169,7 @@ import functools
 import math
 import operator
 import struct
+import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
 from math import isfinite, log, log1p, ulp
@@ -184,6 +206,7 @@ _ARMIJO_C = 1e-4
 _BACKTRACK_FACTOR = 0.5
 _BOUNDARY_FRACTION = 0.995  # of the distance to the nearest box face
 _MARGIN = 1e-3  # range-relative clip of a start point inside the box
+_MIN_NORMAL = sys.float_info.min  # a box product below it lost precision
 
 
 def __getattr__(name: str):
@@ -450,10 +473,17 @@ class _BarrierProblem:
         cost = ((q0 * A - b0) * A + (q1 * l - b1) * l + (q2 * u - b2) * u
                 + (q3 * e - b3) * e + (q4 * eta - b4) * eta)
 
-        log_z = log(z0) + log(z1) + log(z2) + log(z3) + log(z4)
-        log_1mz = log1p(-z0) + log1p(-z1) + log1p(-z2) + log1p(-z3) \
-            + log1p(-z4)
-        logs = log_z + log_1mz + log(g1) + log(g2) - self.log_scales
+        # The ten box logs as the logs of two products, each factor in
+        # (0, 1/4]; per term where a product is not a normal float.
+        box_a = z0 * (1.0 - z0) * z1 * (1.0 - z1) * z2 * (1.0 - z2)
+        box_b = z3 * (1.0 - z3) * z4 * (1.0 - z4)
+        if box_a >= _MIN_NORMAL and box_b >= _MIN_NORMAL:
+            log_box = log(box_a) + log(box_b)
+        else:
+            log_box = ((log(z0) + log(z1) + log(z2) + log(z3) + log(z4))
+                       + (log1p(-z0) + log1p(-z1) + log1p(-z2) + log1p(-z3)
+                          + log1p(-z4)))
+        logs = log_box + log(g1) + log(g2) - self.log_scales
         f = cost - mu * logs
         if f_max is not None and not f <= f_max:
             return None
@@ -628,8 +658,12 @@ def _newton_stage(problem: _BarrierProblem, point: tuple, mu: float,
     (z0, z1, z2, z3, z4), f, (g0, g1, g2, g3, g4), _, A, l, eta, s1, s2, _ \
         = point
     iterations = 0
+    low = -tol
 
-    while max(abs(g0), abs(g1), abs(g2), abs(g3), abs(g4)) > tol \
+    # max(|g_i|) > tol as chained comparisons: the same decision on finite
+    # values, without the abs and max calls (see the module docstring).
+    while not (low <= g0 <= tol and low <= g1 <= tol and low <= g2 <= tol
+               and low <= g3 <= tol and low <= g4 <= tol) \
             and iterations < _MAX_INNER_ITERATIONS:
         # The Hessian: the cost's curvature plus both box terms', per
         # coordinate.
@@ -705,11 +739,13 @@ def _newton_stage(problem: _BarrierProblem, point: tuple, mu: float,
         point = trial
         (t0, t1, t2, t3, t4), f, (g0, g1, g2, g3, g4), _, A, l, eta, s1, s2, \
             _ = trial
-        moved = max(abs(t0 - z0), abs(t1 - z1), abs(t2 - z2), abs(t3 - z3),
-                    abs(t4 - z4))
+        in_place = (-1e-15 < t0 - z0 < 1e-15 and -1e-15 < t1 - z1 < 1e-15
+                    and -1e-15 < t2 - z2 < 1e-15
+                    and -1e-15 < t3 - z3 < 1e-15
+                    and -1e-15 < t4 - z4 < 1e-15)
         z0, z1, z2, z3, z4 = t0, t1, t2, t3, t4
         iterations += 1
-        if moved < 1e-15:
+        if in_place:
             break  # below position resolution; no progress possible
 
     return point, iterations

@@ -188,8 +188,11 @@ def enumerated_min_cost(w: WeightVector, coeff: ObjectiveCoefficients,
             poly = [2.0 * a + (2.0 * c_eta * R * R if coupled else 0.0),
                     -(b + (R * d_eta if coupled else 0.0)), 0.0, k * V,
                     -2.0 * h * V * V]
+            # only roots within a factor of 2 of A's bounds: the rest are
+            # infeasible, and a far one overflows the polish
             areas = [polished(poly, r.real) for r in np.roots(poly)
-                     if abs(r.imag) <= 1e-9 * abs(r) and r.real > 0.0]
+                     if abs(r.imag) <= 1e-9 * abs(r)
+                     and 0.5 * lo[0] <= r.real <= 2.0 * hi[0]]
         else:
             areas = [minimiser(
                 a + (c_eta * R * R if coupled else 0.0),

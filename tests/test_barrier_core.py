@@ -17,10 +17,11 @@ wherever their validators allow them."""
 
 import math
 import operator
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dockopt.solver
@@ -275,6 +276,78 @@ def test_a_reweighted_point_is_the_evaluated_one(w, coeff, instance, mu,
             == repr(problem.evaluate(trial[0], next_mu))
 
 
+class PerTermBarrier(_BarrierProblem):
+    """The barrier with its ten box logs summed term by term, one log or
+    log1p per term, instead of as the logs of two products."""
+
+    def evaluate(self, z, mu, f_max=None):
+        point = super().evaluate(z, mu)
+        if point is None:
+            return None
+        z0, z1, z2, z3, z4 = z
+        _, _, g, cost, A, l, eta, g1, g2, _ = point
+        log_z = math.log(z0) + math.log(z1) + math.log(z2) + math.log(z3) \
+            + math.log(z4)
+        log_1mz = math.log1p(-z0) + math.log1p(-z1) + math.log1p(-z2) \
+            + math.log1p(-z3) + math.log1p(-z4)
+        logs = log_z + log_1mz + math.log(g1) + math.log(g2) \
+            - self.log_scales
+        f = cost - mu * logs
+        if f_max is not None and not f <= f_max:
+            return None
+        return z, f, g, cost, A, l, eta, g1, g2, logs
+
+
+@pytest.mark.parametrize("mu", [1.0, 1e-6])
+@pytest.mark.parametrize("z", [[1e-160, 0.9, 1e-160, 0.5, 0.5],
+                               [1e-200, 0.9, 1e-200, 0.5, 0.5],
+                               [0.5, 0.5, 0.5, 1e-310, 0.9]],
+                         ids=["subnormal", "zero", "subnormal-second"])
+def test_a_box_product_below_the_normal_floats_is_summed_per_term(z, mu):
+    # z0(1-z0)z1(1-z1)z2(1-z2) (or z3(1-z3)z4(1-z4)) is subnormal or 0:
+    # its log would have lost its precision or raised
+    problem = _BarrierProblem(WeightVector(1, 1, 1, 1),
+                              ObjectiveCoefficients(), default_bounds(),
+                              ConstraintSet())
+    box = [zi * (1.0 - zi) for zi in z]
+    assert min(box[0] * box[1] * box[2], box[3] * box[4]) \
+        < sys.float_info.min
+    point = problem.evaluate(z, mu)
+    assert point is not None
+    expected = PerTermBarrier(problem.w, problem.coeff, problem.bounds,
+                              problem.cons).evaluate(z, mu)
+    g1, g2 = point[7:9]
+    logs = [*(math.log(zi) for zi in z), *(math.log1p(-zi) for zi in z),
+            math.log(g1), math.log(problem.g1_scale),
+            math.log(g2), math.log(problem.g2_scale)]
+    terms = abs(point[3]) + mu * sum(map(abs, logs))
+    assert math.isfinite(point[1])
+    assert abs(point[1] - expected[1]) <= 1e-12 * terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights, coefficients, instances(), barrier_weights)
+def test_an_interior_point_takes_at_most_four_logs(w, coeff, instance, mu):
+    # two for the box products and one per constraint, wherever both
+    # products are normal floats
+    bounds, cons, z = instance
+    problem = _BarrierProblem(w, coeff, bounds, cons)
+    box = [zi * (1.0 - zi) for zi in z]
+    assume(min(box[0] * box[1] * box[2], box[3] * box[4])
+           >= sys.float_info.min)
+    calls = []
+
+    def counted(f):
+        return lambda value: calls.append(value) or f(value)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dockopt.solver, "log", counted(math.log))
+        patch.setattr(dockopt.solver, "log1p", counted(math.log1p))
+        point = problem.evaluate(z, mu)
+    assume(point is not None)
+    assert len(calls) <= 4
+
+
 edge_values = st.sampled_from([0.0, 1.0, math.nan, 5e-324, 1.0 - EPS / 2])
 
 
@@ -461,6 +534,53 @@ def test_a_stage_steps_along_minus_g_where_the_elimination_fails(i, value,
         patch.setattr(dockopt.solver, "_MAX_INNER_ITERATIONS", 1)
         assert repr(_newton_stage(problem, point, mu, -1.0)) \
             == repr((expected, 1))
+
+
+@pytest.mark.parametrize("others", ["zero", "evaluated"])
+@pytest.mark.parametrize("i", range(5))
+def test_a_nan_gradient_component_ends_the_stage_in_place(i, others):
+    # A nan in any position of the gradient, the others 0 (below tol) or
+    # as evaluated (above it): the stage takes no step and returns its
+    # point unchanged.  max(abs(g0), ...) reads the nan as converged in
+    # position 0 only; elsewhere the step from it, along a direction with
+    # a nan, has only trials with a nan coordinate, and none is interior.
+    mu = 1e-3
+    point = OPEN.evaluate([0.3, 0.6, 0.4, 0.7, 0.2], mu)
+    g = [0.0] * 5 if others == "zero" else list(point[2])
+    assert others == "zero" or min(map(abs, g)) > 3e-9
+    g[i] = math.nan
+    point = (*point[:2], g, *point[3:])
+    problem = _BarrierProblem(OPEN.w, OPEN.coeff, OPEN.bounds, OPEN.cons)
+    trials = []
+
+    def recorded(z, mu, f_max=None):
+        trials.append(z)
+        return OPEN.evaluate(z, mu, f_max)
+
+    problem.evaluate = recorded
+    end, steps = _newton_stage(problem, point, mu, 3e-9)
+    assert steps == 0 and end is point
+    assert all(any(map(math.isnan, z)) for z in trials)
+
+
+@settings(max_examples=50, deadline=None)
+@given(weights, coefficients, instances(), barrier_weights)
+def test_a_stage_calls_no_abs_or_max(w, coeff, instance, mu):
+    # the stage's gradient and no-progress tests are chained comparisons
+    bounds, cons, z = instance
+    problem = _BarrierProblem(w, coeff, bounds, cons)
+    point = problem.evaluate(z, mu)
+    assume(point is not None)
+    calls = []
+
+    def counted(f):
+        return lambda *args: calls.append(f) or f(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dockopt.solver, "abs", counted(abs), raising=False)
+        patch.setattr(dockopt.solver, "max", counted(max), raising=False)
+        _newton_stage(problem, point, mu, max(3e-9, mu))
+    assert calls == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -732,6 +852,11 @@ def vertex_instances(draw):
 @settings(max_examples=300, deadline=None)
 @given(weights, coefficients,
        st.one_of(instances(clipped_points), vertex_instances()))
+# a quartic root near 1e265, which the oracle must not polish
+@example(WeightVector(0.0, 1.0, 1.0, 1.0),
+         ObjectiveCoefficients(ku=0.0, ke=0.0, bl=0.0, bu=0.0),
+         (default_bounds(), ConstraintSet(0.0, 3.1006530971110753e-133),
+          [0.5] * 5))
 def test_solve_matches_the_active_set_enumeration(w, coeff, instance):
     # at a vertex instance, where a bound fixes A and l (eta) meets a bound
     # and g1 (g2), g1's (g2's) multiplier is not unique
@@ -755,6 +880,23 @@ def test_the_certified_answer_does_not_depend_on_the_start(w, coeff):
                for x_init in LATIN_STARTS]
     assert all(result.converged for result in results)
     assert len({certified_answer(result) for result in results}) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights, coefficient_sets(-7.0, 6.0),
+       st.one_of(instances(), vertex_instances()))
+def test_the_grouped_log_sum_changes_no_answer(w, coeff, instance):
+    # the barrier's log sum reaches no certified answer: a solve whose
+    # kernel sums the box logs term by term gives the same status, x*, J,
+    # residual, constraint values and active set, bit for bit
+    bounds, cons, z = instance
+    x_init = DesignVector(*(lo + zi * (hi - lo) for lo, hi, zi in zip(
+        bounds.lower.as_tuple(), bounds.upper.as_tuple(), z)))
+    grouped = solve(w, coeff, bounds, cons, x_init)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dockopt.solver, "_BarrierProblem", PerTermBarrier)
+        per_term = solve(w, coeff, bounds, cons, x_init)
+    assert certified_answer(grouped) == certified_answer(per_term)
 
 
 @settings(max_examples=60, deadline=None)
