@@ -149,17 +149,12 @@ barrier values.  (Measured against the term-by-term sum: every solve of
 the benchmark's sweep seeds 1-3, its calibration seeds 1-2 and 1,500
 random problems took the same Newton steps and the same trace.)
 
-Work that cannot change a solve's answer is done once.  An evaluated
-point also keeps its log-barrier sum.  x, g1, g2, J and that sum do not
-depend on mu, so each stage's first point, where the last stage ended, is
-built from them at the new mu (``_BarrierProblem.reweight``), without the
-logs, J or the interior tests; f and g use ``evaluate``'s
-expressions in its order, so the point is ``evaluate``'s bit for bit.  A
-start is repaired into the interior (``_repair_to_interior``) once per
-bounds, constraints and start point, the only inputs the repair reads,
-and kept, at most 64 of them: a weight study or a calibration solves
-every problem from the same few starts.  Each solve gets its own copy of
-the repaired point.
+Each stage's first point is ``evaluate`` at the z where the last stage
+ended, at the stage's mu, and each solve repairs its own start
+(``_repair_to_interior``, at most 7 interior tests: a few microseconds of
+a solve's hundreds).  So a solve reads no state that another solve left,
+and nothing is kept between them but the active-set names and the
+Latin-hypercube starts.
 """
 
 from __future__ import annotations
@@ -440,15 +435,15 @@ class _BarrierProblem:
         """The barrier at z in one pass, or None unless z is strictly
         interior (every z_i in (0, 1), g1 > 0 and g2 > 0; nan fails).
 
-        Returns the point ``(z, f, g, cost, A, l, eta, g1, g2, logs)``:
-        the barrier value f and its gradient g in z, J at x(z), the parts
+        Returns the point ``(z, f, g, cost, A, l, eta, g1, g2)``: the
+        barrier value f and its gradient g in z, J at x(z), and the parts
         of x and the constraint values that the Newton step's Hessian
-        reuses (see ``_newton_stage``), and the log-barrier sum,
-        f = cost - mu * logs, that ``reweight`` reuses.
-        With mu = 0, f and g are J and its gradient.  Given ``f_max``, a
-        point whose f fails ``f <= f_max`` (a nan f too) is None as well,
-        and its gradient is never built: a line search rejects it on f
-        alone.
+        reuses (see ``_newton_stage``).  With mu = 0, f and g are J and its
+        gradient.  Given ``f_max``, a point whose f fails ``f <= f_max`` (a
+        nan f too) is None as well, and its gradient is never built: a
+        line search rejects it on f alone.  The interior test is
+        ``_interior``'s, written out here because a line search makes this
+        call on every trial.
         """
         z0, z1, z2, z3, z4 = z
         if not (0.0 < z0 < 1.0 and 0.0 < z1 < 1.0 and 0.0 < z2 < 1.0
@@ -483,8 +478,7 @@ class _BarrierProblem:
             log_box = ((log(z0) + log(z1) + log(z2) + log(z3) + log(z4))
                        + (log1p(-z0) + log1p(-z1) + log1p(-z2) + log1p(-z3)
                           + log1p(-z4)))
-        logs = log_box + log(g1) + log(g2) - self.log_scales
-        f = cost - mu * logs
+        f = cost - mu * (log_box + log(g1) + log(g2) - self.log_scales)
         if f_max is not None and not f <= f_max:
             return None
         # Gradient in z: dJ/dx_i times the range, the two box terms, then
@@ -499,31 +493,7 @@ class _BarrierProblem:
              (s3 * e - b3) * r3 - mu / z3 + mu / (1.0 - z3),
              (s4 * eta - b4) * r4 - mu / z4 + mu / (1.0 - z4)
              - c2 * (1.0 / A * r4)]
-        return z, f, g, cost, A, l, eta, g1, g2, logs
-
-    def reweight(self, point: tuple, mu: float) -> tuple:
-        """``evaluate(z, mu)`` for the z of an evaluated point, built from
-        its x, constraint values, J and log-barrier sum, which do not
-        depend on mu: f and g only, with ``evaluate``'s expressions in its
-        order, so the point is the evaluated one bit for bit."""
-        z, _, _, cost, A, l, eta, g1, g2, logs = point
-        z0, z1, z2, z3, z4 = z
-        r0, r1, r2, r3, r4 = self.range
-        u = self.lb[2] + z2 * r2
-        e = self.lb[3] + z3 * r3
-        f = cost - mu * logs
-        b0, b1, b2, b3, b4 = self.b
-        s0, s1, s2, s3, s4 = self.q2
-        c1 = mu / g1
-        c2 = mu / g2
-        g = [(s0 * A - b0) * r0 - mu / z0 + mu / (1.0 - z0)
-             - c1 * (l * r0) - c2 * (-eta / A**2 * r0),
-             (s1 * l - b1) * r1 - mu / z1 + mu / (1.0 - z1) - c1 * (A * r1),
-             (s2 * u - b2) * r2 - mu / z2 + mu / (1.0 - z2),
-             (s3 * e - b3) * r3 - mu / z3 + mu / (1.0 - z3),
-             (s4 * eta - b4) * r4 - mu / z4 + mu / (1.0 - z4)
-             - c2 * (1.0 / A * r4)]
-        return z, f, g, cost, A, l, eta, g1, g2, logs
+        return z, f, g, cost, A, l, eta, g1, g2
 
 
 def barrier_objective(x: DesignVector, mu: float, w: WeightVector,
@@ -579,6 +549,20 @@ def interior_anchor(bounds: DesignBounds, cons: ConstraintSet) -> list[float]:
     return [z_A, top, 0.5, 0.5, top]
 
 
+def _interior(problem: _BarrierProblem, z: list[float]) -> bool:
+    """Whether z is strictly interior: ``evaluate``'s test (every z_i in
+    (0, 1), g1 > 0 and g2 > 0 at x(z); nan fails) in its expressions."""
+    z0, z1, z2, z3, z4 = z
+    if not (0.0 < z0 < 1.0 and 0.0 < z1 < 1.0 and 0.0 < z2 < 1.0
+            and 0.0 < z3 < 1.0 and 0.0 < z4 < 1.0):
+        return False
+    lo0, lo1, _, _, lo4 = problem.lb
+    r0, r1, _, _, r4 = problem.range
+    A = lo0 + z0 * r0
+    return (A * (lo1 + z1 * r1) - problem.V > 0.0
+            and (lo4 + z4 * r4) / A - problem.R > 0.0)
+
+
 def _repair_to_interior(problem: _BarrierProblem,
                         z: list[float]) -> list[float]:
     """Clip into the box with a range-relative margin, then pull along a
@@ -589,43 +573,35 @@ def _repair_to_interior(problem: _BarrierProblem,
     the clipped start is returned; the anchor itself is the last point of
     that grid.  Raises InfeasibleProblemError when the clipped start is
     not strictly feasible and no anchor exists.
+
+    The point is found by bisection on the grid index, in at most 6 tests
+    after the clipped start's.  The strictly feasible set is convex: it is
+    the open box, A*l > V with A, l > 0 (see the module docstring) and
+    eta/A > R, which for A > 0 is eta - R*A > 0.  It holds the anchor, the
+    segment's end, so the feasible points of the segment are an interval
+    that ends there, and the feasible grid points are a suffix of the
+    grid: the first of them is the first that a scan of the grid meets.
     """
     z = [min(max(zi, _MARGIN), 1.0 - _MARGIN) for zi in z]
-    if problem.evaluate(z, 0.0) is not None:
+    if _interior(problem, z):
         return z
 
     anchor = interior_anchor(problem.bounds, problem.cons)
     z0, z1, z2, z3, z4 = z
     a0, a1, a2, a3, a4 = anchor
-    for k in range(1, 64):
+    # The grid point at lo is not feasible and the one at hi is.
+    lo, hi, found = 0, 64, anchor
+    while hi - lo > 1:
+        k = (lo + hi) // 2
         t = k / 64
         s = 1.0 - t
         candidate = [s * z0 + t * a0, s * z1 + t * a1, s * z2 + t * a2,
                      s * z3 + t * a3, s * z4 + t * a4]
-        if problem.evaluate(candidate, 0.0) is not None:
-            return candidate
-    return anchor
-
-
-# Repaired starts by (bounds, constraints, *z), the only inputs of
-# _repair_to_interior, oldest first; a weight study or a calibration
-# repairs the same few starts for every problem it solves.
-_REPAIRED_STARTS: dict[tuple, tuple[float, ...]] = {}
-_MAX_REPAIRED_STARTS = 64
-
-
-def _repaired_start(problem: _BarrierProblem, z: list[float]) -> list[float]:
-    """``_repair_to_interior(problem, z)``, repaired once per bounds,
-    constraints and z and kept (at most _MAX_REPAIRED_STARTS, the oldest
-    dropped first); each call returns a new list."""
-    key = (problem.bounds, problem.cons, *z)
-    start = _REPAIRED_STARTS.get(key)
-    if start is None:
-        start = tuple(_repair_to_interior(problem, z))
-        if len(_REPAIRED_STARTS) >= _MAX_REPAIRED_STARTS:
-            _REPAIRED_STARTS.pop(next(iter(_REPAIRED_STARTS)), None)
-        _REPAIRED_STARTS[key] = start
-    return list(start)
+        if _interior(problem, candidate):
+            hi, found = k, candidate
+        else:
+            lo = k
+    return found
 
 
 def _newton_stage(problem: _BarrierProblem, point: tuple, mu: float,
@@ -655,7 +631,7 @@ def _newton_stage(problem: _BarrierProblem, point: tuple, mu: float,
     r0, r1, _, _, r4 = problem.range
     evaluate = problem.evaluate
     # The constraint values g1 and g2 are s1 and s2 here; g is the gradient.
-    (z0, z1, z2, z3, z4), f, (g0, g1, g2, g3, g4), _, A, l, eta, s1, s2, _ \
+    (z0, z1, z2, z3, z4), f, (g0, g1, g2, g3, g4), _, A, l, eta, s1, s2 \
         = point
     iterations = 0
     low = -tol
@@ -737,8 +713,8 @@ def _newton_stage(problem: _BarrierProblem, point: tuple, mu: float,
             break  # no acceptable step: no progress possible
 
         point = trial
-        (t0, t1, t2, t3, t4), f, (g0, g1, g2, g3, g4), _, A, l, eta, s1, s2, \
-            _ = trial
+        (t0, t1, t2, t3, t4), f, (g0, g1, g2, g3, g4), _, A, l, eta, s1, s2 \
+            = trial
         in_place = (-1e-15 < t0 - z0 < 1e-15 and -1e-15 < t1 - z1 < 1e-15
                     and -1e-15 < t2 - z2 < 1e-15
                     and -1e-15 < t3 - z3 < 1e-15
@@ -752,18 +728,17 @@ def _newton_stage(problem: _BarrierProblem, point: tuple, mu: float,
 
 
 def _solve_from_z(problem: _BarrierProblem, z0: list[float]) -> SolveResult:
-    z = _repaired_start(problem, z0)
-    # Each stage starts where the last ended: only f and g change with mu.
-    point = problem.evaluate(z, 0.0)
+    z = _repair_to_interior(problem, z0)
     pack = _STAGE.pack
     stages: list[bytes] = []  # mu, cost, stationarity, inner of each stage
     iterations = 0
-    best_residual, best_z, best_cost = math.inf, z, point[3]
+    best_residual, best_z, best_cost = math.inf, z, math.inf
 
     for mu in _MU_SCHEDULE:
         # Below mu, a smaller gradient cannot lower the residual.
         inner_tol = max(0.3 * _KKT_TOLERANCE, mu)
-        point, inner = _newton_stage(problem, problem.reweight(point, mu), mu,
+        # Each stage starts where the last ended.
+        point, inner = _newton_stage(problem, problem.evaluate(z, mu), mu,
                                      inner_tol)
         z, _, (g0, g1, g2, g3, g4), cost = point[:4]
         stationarity = max(abs(g0), abs(g1), abs(g2), abs(g3), abs(g4))

@@ -2,14 +2,13 @@
 against the surrogates, the fused evaluation against ``dockopt.objective``
 bit for bit and against the numpy reference, its interior test, the
 Hessian at an evaluated point against the one rebuilt from z and against
-central differences, a stage's first point rebuilt at a new mu against
-the evaluated one, the arrowhead Newton solve's backward error, the
+central differences, the arrowhead Newton solve's backward error, the
 steepest-descent fallback, the evaluation bounded by a line search's
 Armijo test and that line search against full backtracking, the
 written-out Newton step, stage and solve against the reference units of
-tests/helpers.py, the repair to a strictly feasible start and the
-repaired starts kept per problem shape, each stage's end against the
-stopping rule, whole solves against two exact oracles (a bisection on
+tests/helpers.py, the repair to a strictly feasible start, its bisection
+against a scan of its grid and its interior test against the
+evaluation's, each stage's end against the stopping rule, whole solves against two exact oracles (a bisection on
 the reduced derivative and an enumeration of active faces, at vertices
 where a constraint meets two bounds too), and certified answers that are
 the same from every start.  Weights and coefficients are drawn with zeros
@@ -32,15 +31,14 @@ from dockopt import (ConstraintSet, DesignBounds, DesignVector,
 from dockopt.objective import gradient_at, total_cost_arrays
 from dockopt.scenarios import builtin_scenarios
 from dockopt.solver import (_MARGIN, _MAX_INNER_ITERATIONS,
-                            _MAX_REPAIRED_STARTS, _MU_SCHEDULE,
-                            _REPAIRED_STARTS, InfeasibleProblemError,
-                            _BarrierProblem, _newton_stage,
-                            _repair_to_interior, _repaired_start,
+                            InfeasibleProblemError, _BarrierProblem,
+                            _interior, _newton_stage, _repair_to_interior,
                             interior_anchor, latin_hypercube)
 from helpers import (ReferenceBarrier, arrowhead_solve,
                      backtracking_line_search, certified_answer,
                      enumerated_min_cost, exact_min_cost, hessian,
-                     line_search, newton_direction, newton_stage)
+                     line_search, newton_direction, newton_stage,
+                     repair_by_scan)
 
 EPS = np.finfo(float).eps
 
@@ -121,7 +119,7 @@ def _dense(hess):
     return H
 
 
-def _interior(problem, z):
+def _strictly_interior(problem, z):
     """The definition of a strictly interior z: every z_i in (0, 1) (nan
     is not) and both constraints strictly positive at x(z)."""
     if not all(0.0 < zi < 1.0 for zi in z):
@@ -131,10 +129,10 @@ def _interior(problem, z):
 
 
 def _rebuilt(problem, z):
-    """A point for ``hessian`` rebuilt from z alone; the value, gradient,
-    cost and log-barrier slots are not read by the Hessian."""
+    """A point for ``hessian`` rebuilt from z alone; the value, gradient
+    and cost slots are not read by the Hessian."""
     A, l, _, _, eta = x = problem.x_of_z(z)
-    return (z, None, None, None, A, l, eta, *problem.constraints(x), None)
+    return (z, None, None, None, A, l, eta, *problem.constraints(x))
 
 
 ARROWHEAD = np.eye(5, dtype=bool)
@@ -256,26 +254,6 @@ def test_hessian_at_an_evaluated_point_is_the_one_rebuilt_from_z(
             == hessian(problem, _rebuilt(problem, trial[0]), mu)
 
 
-@settings(max_examples=150, deadline=None)
-@given(weights, coefficients, instances(), barrier_weights,
-       st.sampled_from(_MU_SCHEDULE))
-def test_a_reweighted_point_is_the_evaluated_one(w, coeff, instance, mu,
-                                                 next_mu):
-    # a stage starts where the last ended, at the schedule's next mu
-    bounds, cons, z = instance
-    problem = _BarrierProblem(w, coeff, bounds, cons)
-    point = problem.evaluate(z, mu)
-    assume(point is not None)
-    assert repr(problem.reweight(point, next_mu)) \
-        == repr(problem.evaluate(z, next_mu))
-    # and from the point that a Newton line search accepts
-    trial = line_search(problem, point, newton_direction(problem, point, mu),
-                        mu)
-    if trial is not None:
-        assert repr(problem.reweight(trial, next_mu)) \
-            == repr(problem.evaluate(trial[0], next_mu))
-
-
 class PerTermBarrier(_BarrierProblem):
     """The barrier with its ten box logs summed term by term, one log or
     log1p per term, instead of as the logs of two products."""
@@ -285,7 +263,7 @@ class PerTermBarrier(_BarrierProblem):
         if point is None:
             return None
         z0, z1, z2, z3, z4 = z
-        _, _, g, cost, A, l, eta, g1, g2, _ = point
+        _, _, g, cost, A, l, eta, g1, g2 = point
         log_z = math.log(z0) + math.log(z1) + math.log(z2) + math.log(z3) \
             + math.log(z4)
         log_1mz = math.log1p(-z0) + math.log1p(-z1) + math.log1p(-z2) \
@@ -295,7 +273,7 @@ class PerTermBarrier(_BarrierProblem):
         f = cost - mu * logs
         if f_max is not None and not f <= f_max:
             return None
-        return z, f, g, cost, A, l, eta, g1, g2, logs
+        return z, f, g, cost, A, l, eta, g1, g2
 
 
 @pytest.mark.parametrize("mu", [1.0, 1e-6])
@@ -360,7 +338,8 @@ def test_evaluate_rejects_exactly_the_points_outside_the_interior(
     bounds, cons, z = instance
     problem = _BarrierProblem(w, coeff, bounds, cons)
     z = [zi if ei is None else ei for zi, ei in zip(z, edges)]
-    assert (problem.evaluate(z, mu) is not None) == _interior(problem, z)
+    assert (problem.evaluate(z, mu) is not None) \
+        == _strictly_interior(problem, z)
 
 
 # Both thresholds 0: the centre of the default box is strictly interior.
@@ -368,14 +347,24 @@ OPEN = _BarrierProblem(WeightVector(1, 1, 1, 1), ObjectiveCoefficients(),
                        default_bounds(), ConstraintSet(0.0, 0.0))
 
 
+# OPEN with eta's lower bound raised from 0 to 0.05: every lower bound is
+# positive, so both constraints hold on every face of the box, and the box
+# test alone rejects a coordinate on it.
+LIFTED = _BarrierProblem(OPEN.w, OPEN.coeff, DesignBounds(
+    DesignVector(*OPEN.lb[:4], 0.05), default_bounds().upper), OPEN.cons)
+
+
 @pytest.mark.parametrize("value", [0.0, 1.0, math.nan], ids=["0", "1", "nan"])
 @pytest.mark.parametrize("i", range(5))
 def test_a_coordinate_on_or_off_the_box_is_not_interior(i, value):
     z = [0.5] * 5
-    assert OPEN.evaluate(z, 1.0) is not None
+    assert LIFTED.evaluate(z, 1.0) is not None
     z[i] = value
-    assert OPEN.evaluate(z, 1.0) is None
-    assert not _interior(OPEN, z)
+    assert min(LIFTED.constraints(LIFTED.x_of_z(z))) > 0.0 \
+        or math.isnan(value)
+    assert LIFTED.evaluate(z, 1.0) is None
+    assert not _strictly_interior(LIFTED, z)
+    assert not _interior(LIFTED, z)
 
 
 @pytest.mark.parametrize("name", ["volume_min", "tolerance_ratio_min"])
@@ -391,6 +380,7 @@ def test_a_constraint_at_exactly_zero_is_not_interior(name):
                                                    "tolerance_ratio_min": 0.0,
                                                    name: threshold}))
         assert (problem.evaluate(z, 1.0) is not None) is interior
+        assert _strictly_interior(problem, z) is interior
         assert _interior(problem, z) is interior
 
 
@@ -687,77 +677,77 @@ def test_repair_reaches_the_interior_whenever_the_clipped_box_is_feasible(
     bounds, cons, z = instance
     problem = _BarrierProblem(WeightVector(1, 1, 1, 1),
                               ObjectiveCoefficients(), bounds, cons)
-    assume(_interior(problem, z))
-    assert _interior(problem, _repair_to_interior(problem, start))
+    assume(_strictly_interior(problem, z))
+    assert _strictly_interior(problem, _repair_to_interior(problem, start))
 
 
-def _outcome(repair, problem, start):
-    """repr of the repaired start, or the type of the error raised."""
-    try:
-        return repr(repair(problem, start))
-    except InfeasibleProblemError as exc:
-        return type(exc)
+@st.composite
+def narrow_bands(draw):
+    """A box, thresholds that leave A a band of relative width about 2e,
+    e log-uniform in [1e-9, 0.1], around a drawn A where l and eta are at
+    the anchor's 1 - 1e-3, and a start with z_l and z_eta at most 0.5: its
+    segment toward the anchor is feasible near the anchor only, or at the
+    anchor alone."""
+    bounds = draw(boxes)
+    lo, hi = bounds.lower, bounds.upper
+    top = 1.0 - _MARGIN
+    l_top = lo.l + top * (hi.l - lo.l)
+    eta_top = lo.eta + top * (hi.eta - lo.eta)
+    A = lo.A + draw(st.floats(0.05, 0.95)) * (hi.A - lo.A)
+    shrink = 1.0 - draw(st.floats(-9.0, -1.0).map(lambda k: 10.0**k))
+    start = draw(st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 0.5),
+                           st.floats(-1.0, 2.0), st.floats(-1.0, 2.0),
+                           st.floats(-1.0, 0.5)))
+    return (bounds, ConstraintSet(A * l_top * shrink, eta_top / A * shrink),
+            list(start))
 
 
-@settings(max_examples=100, deadline=None)
-@given(weights, coefficients, weights, coefficients, instances(), starts,
-       boxes, threshold_fractions, st.integers(0, 4), st.floats(-0.5, 0.5))
-def test_a_repaired_start_is_kept_per_bounds_constraints_and_start(
-        w, coeff, other_w, other_coeff, instance, start, other_bounds,
-        fraction, i, shift):
-    bounds, cons, _ = instance
-    calls = []
-
-    def counted(problem, z):
-        calls.append(1)
-        return _repair_to_interior(problem, z)
-
-    def cached(problem, z):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dockopt.solver, "_repair_to_interior", counted)
-            return _outcome(_repaired_start, problem, z)
-
-    _REPAIRED_STARTS.clear()
-    problem = _BarrierProblem(w, coeff, bounds, cons)
-    fresh = _outcome(_repair_to_interior, problem, start)
-    assert cached(problem, start) == fresh
-    if not isinstance(fresh, type):
-        # a kept start is copied out, never changed through a caller
-        _repaired_start(problem, start)[0] = math.nan
-    # other weights and coefficients: the kept start, not repaired again
-    other = _BarrierProblem(other_w, other_coeff, bounds, cons)
-    assert cached(other, start) == fresh
-    assert len(calls) == 1 + isinstance(fresh, type)
-    # other bounds, constraints or start: repaired afresh
-    other_start = list(start)
-    other_start[i] += shift
-    variants = [(_BarrierProblem(w, coeff, other_bounds, cons), start),
-                (_BarrierProblem(w, coeff, bounds, ConstraintSet(
-                    fraction * cons.volume_min, cons.tolerance_ratio_min)),
-                 start),
-                (_BarrierProblem(w, coeff, bounds, ConstraintSet(
-                    cons.volume_min, fraction * cons.tolerance_ratio_min)),
-                 start),
-                (problem, other_start)]
-    for variant, z in variants:
-        if (variant.bounds, variant.cons, z) == (bounds, cons, start):
-            continue
-        made = len(calls)
-        assert cached(variant, z) == _outcome(_repair_to_interior, variant, z)
-        assert len(calls) == made + 1
+# The starts a repair meets, by the point that it returns: the clipped
+# start itself, a point of the segment before the anchor, or the anchor.
+REPAIR_CASES = {
+    "interior": instances(clipped_points),
+    "segment": st.builds(lambda instance, start: (*instance[:2], start),
+                         instances(), starts),
+    "anchor": narrow_bands(),
+}
 
 
-def test_the_kept_repaired_starts_are_bounded():
-    _REPAIRED_STARTS.clear()
+def _repair_kind(problem, start, repaired):
+    """Which of REPAIR_CASES a repair of ``start`` to ``repaired`` is."""
+    if repaired == [min(max(zi, _MARGIN), 1.0 - _MARGIN) for zi in start]:
+        return "interior"
+    if repaired == interior_anchor(problem.bounds, problem.cons):
+        return "anchor"
+    return "segment"
+
+
+@pytest.mark.parametrize("kind", REPAIR_CASES)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_repair_bisects_to_the_point_that_a_scan_of_its_grid_finds(kind,
+                                                                   data):
+    # the feasible grid points are a suffix of the segment, so the
+    # bisection's point is the scan's first, bit for bit
+    bounds, cons, start = data.draw(REPAIR_CASES[kind])
     problem = _BarrierProblem(WeightVector(1, 1, 1, 1),
-                              ObjectiveCoefficients(), default_bounds(),
-                              ConstraintSet())
-    z_starts = [[0.5, 0.9, 0.5, 0.5, 0.01 * k] for k in range(1, 71)]
-    for z in z_starts:
-        assert _repaired_start(problem, z) == _repair_to_interior(problem, z)
-    assert len(_REPAIRED_STARTS) == _MAX_REPAIRED_STARTS
-    kept = [list(key[2:]) for key in _REPAIRED_STARTS]
-    assert kept == z_starts[-_MAX_REPAIRED_STARTS:]  # the oldest dropped
+                              ObjectiveCoefficients(), bounds, cons)
+    try:
+        expected = repair_by_scan(problem, start)
+    except InfeasibleProblemError:
+        assume(False)
+    assume(_repair_kind(problem, start, expected) == kind)
+    assert repr(_repair_to_interior(problem, start)) == repr(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights, coefficients, instances(),
+       st.lists(st.one_of(st.none(), edge_values), min_size=5, max_size=5))
+def test_the_repairs_interior_test_is_evaluates(w, coeff, instance, edges):
+    # edges move z onto or off the box, or to nan, as above
+    bounds, cons, z = instance
+    problem = _BarrierProblem(w, coeff, bounds, cons)
+    z = [zi if ei is None else ei for zi, ei in zip(z, edges)]
+    assert _interior(problem, z) == (problem.evaluate(z, 0.0) is not None)
 
 
 def _anchor_from_the_problem(problem):
@@ -788,7 +778,7 @@ def test_interior_anchor_needs_only_bounds_and_constraints(bounds, a, b):
             interior_anchor(bounds, cons)
     else:
         assert interior_anchor(bounds, cons) == expected
-        assert _interior(problem, expected)
+        assert _strictly_interior(problem, expected)
 
 
 def _solved(w, coeff, instance):

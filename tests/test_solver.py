@@ -17,7 +17,7 @@ from dockopt import (ConstraintSet, DesignVector, ObjectiveCoefficients,
                      reference_coefficients, solve, total_cost)
 from dockopt.scenarios import DEFAULT_X_INIT, builtin_scenarios
 from dockopt.solver import (BarrierStage, BarrierTrace, InfeasibleProblemError,
-                            _bracketed_root)
+                            _bracketed_root, latin_hypercube)
 from helpers import (certified_answer, enumerated_min_cost, grid_min_cost,
                      grid_resolution_slack)
 
@@ -130,30 +130,24 @@ class TestSolve:
             assert result.status is SolverStatus.Converged
             assert min(cons.values(result.x_star)) >= -1e-9
 
-    def test_solves_of_one_problem_shape_repair_each_start_once(
-            self, monkeypatch):
-        # the repair reads the bounds, the constraints and the start only
-        repair, calls = dockopt.solver._repair_to_interior, []
+    def test_a_repair_makes_at_most_seven_interior_tests(self, monkeypatch):
+        # one test of the clipped start, then a bisection of the segment's
+        # 64 steps toward the anchor; a solve tests points only to repair
+        # its start
+        interior, counts = dockopt.solver._interior, []
 
         def counted(problem, z):
-            calls.append(list(z))
-            return repair(problem, z)
+            counts[-1] += 1
+            return interior(problem, z)
 
-        dockopt.solver._REPAIRED_STARTS.clear()
-        monkeypatch.setattr(dockopt.solver, "_repair_to_interior", counted)
-        first = solve(W1111, ONES, BOUNDS, CONS, DEFAULT_X_INIT)
-        again = solve(WeightVector(2, 1, 1.2, 2), reference_coefficients(),
-                      BOUNDS, CONS, DEFAULT_X_INIT)
-        assert len(calls) == 1
-        multi_start_solve(W1111, ONES, BOUNDS, CONS, FAST)
-        made = len(calls)
-        multi_start_solve(WeightVector(1, 2, 1, 1), ONES, BOUNDS, CONS, FAST)
-        assert made > 1 and len(calls) == made
-        # the answers are those of a fresh repair
-        dockopt.solver._REPAIRED_STARTS.clear()
-        assert repr(solve(W1111, ONES, BOUNDS, CONS, DEFAULT_X_INIT)) \
-            == repr(first)
-        assert first.x_star != again.x_star
+        monkeypatch.setattr(dockopt.solver, "_interior", counted)
+        cons = ConstraintSet(volume_min=1.8, tolerance_ratio_min=1.45)
+        for z in latin_hypercube(16, 0):
+            x_init = DesignVector(*(lo + zi * (hi - lo) for lo, hi, zi in zip(
+                BOUNDS.lower.as_tuple(), BOUNDS.upper.as_tuple(), z)))
+            counts.append(0)
+            assert solve(W1111, ONES, BOUNDS, cons, x_init).converged
+        assert max(counts) == 7 and min(counts) >= 1
 
     def test_iteration_cap_reports_limit(self, monkeypatch):
         monkeypatch.setattr(dockopt.solver, "_MU_SCHEDULE", (1.0,))
