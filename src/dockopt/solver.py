@@ -150,11 +150,13 @@ the benchmark's sweep seeds 1-3, its calibration seeds 1-2 and 1,500
 random problems took the same Newton steps and the same trace.)
 
 Each stage's first point is ``evaluate`` at the z where the last stage
-ended, at the stage's mu, and each solve repairs its own start
-(``_repair_to_interior``, at most 7 interior tests: a few microseconds of
-a solve's hundreds).  So a solve reads no state that another solve left,
-and nothing is kept between them but the active-set names and the
-Latin-hypercube starts.
+ended, at the stage's mu, given the last stage's point: x, g1, g2, J and
+the log-barrier sum do not depend on mu, so they are read from it, and
+only f and g are computed, in the same expressions.  Each solve repairs
+its own start (``_repair_to_interior``, at most 7 evaluations: a few
+microseconds of a solve's hundreds).  So a solve reads no state that
+another solve left, and nothing is kept between them but the active-set
+names and the Latin-hypercube starts.
 """
 
 from __future__ import annotations
@@ -430,55 +432,65 @@ class _BarrierProblem:
         return [*z, *(1.0 - zi for zi in z),
                 g1 / self.g1_scale, g2 / self.g2_scale]
 
-    def evaluate(self, z: list[float], mu: float,
-                 f_max: float | None = None) -> tuple | None:
+    def evaluate(self, z: list[float], mu: float, f_max: float | None = None,
+                 point: tuple | None = None) -> tuple | None:
         """The barrier at z in one pass, or None unless z is strictly
         interior (every z_i in (0, 1), g1 > 0 and g2 > 0; nan fails).
 
-        Returns the point ``(z, f, g, cost, A, l, eta, g1, g2)``: the
-        barrier value f and its gradient g in z, J at x(z), and the parts
+        Returns the point ``(z, f, g, cost, A, l, eta, g1, g2, logs)``:
+        the barrier value f and its gradient g in z, J at x(z), the parts
         of x and the constraint values that the Newton step's Hessian
-        reuses (see ``_newton_stage``).  With mu = 0, f and g are J and its
-        gradient.  Given ``f_max``, a point whose f fails ``f <= f_max`` (a
-        nan f too) is None as well, and its gradient is never built: a
-        line search rejects it on f alone.  The interior test is
-        ``_interior``'s, written out here because a line search makes this
-        call on every trial.
+        reuses (see ``_newton_stage``), and the log-barrier sum,
+        f = cost - mu * logs.  With mu = 0, f and g are J and its gradient.
+        Given ``f_max``, a point whose f fails ``f <= f_max`` (a nan f too)
+        is None as well, and its gradient is never built: a line search
+        rejects it on f alone.  Given ``point``, a point that this returned
+        for z at any mu, the parts that do not depend on mu (the interior
+        test, x, g1, g2, J and the log sum) are read from it: only f and g
+        are computed, in the same expressions, so the result is the full
+        evaluation's bit for bit.  Each barrier stage starts this way.
         """
         z0, z1, z2, z3, z4 = z
-        if not (0.0 < z0 < 1.0 and 0.0 < z1 < 1.0 and 0.0 < z2 < 1.0
-                and 0.0 < z3 < 1.0 and 0.0 < z4 < 1.0):
-            return None
         lo0, lo1, lo2, lo3, lo4 = self.lb
         r0, r1, r2, r3, r4 = self.range
-        A = lo0 + z0 * r0
-        l = lo1 + z1 * r1
-        u = lo2 + z2 * r2
-        e = lo3 + z3 * r3
-        eta = lo4 + z4 * r4
-        g1 = A * l - self.V
-        g2 = eta / A - self.R
-        if not (g1 > 0.0 and g2 > 0.0):
-            return None
-
-        # J and dJ/dx with the operations, in the order, of
-        # total_cost_arrays and gradient_at.
-        q0, q1, q2, q3, q4 = self.q
         b0, b1, b2, b3, b4 = self.b
-        cost = ((q0 * A - b0) * A + (q1 * l - b1) * l + (q2 * u - b2) * u
-                + (q3 * e - b3) * e + (q4 * eta - b4) * eta)
+        if point is None:
+            if not (0.0 < z0 < 1.0 and 0.0 < z1 < 1.0 and 0.0 < z2 < 1.0
+                    and 0.0 < z3 < 1.0 and 0.0 < z4 < 1.0):
+                return None
+            A = lo0 + z0 * r0
+            l = lo1 + z1 * r1
+            eta = lo4 + z4 * r4
+            g1 = A * l - self.V
+            g2 = eta / A - self.R
+            if not (g1 > 0.0 and g2 > 0.0):
+                return None
+            u = lo2 + z2 * r2
+            e = lo3 + z3 * r3
 
-        # The ten box logs as the logs of two products, each factor in
-        # (0, 1/4]; per term where a product is not a normal float.
-        box_a = z0 * (1.0 - z0) * z1 * (1.0 - z1) * z2 * (1.0 - z2)
-        box_b = z3 * (1.0 - z3) * z4 * (1.0 - z4)
-        if box_a >= _MIN_NORMAL and box_b >= _MIN_NORMAL:
-            log_box = log(box_a) + log(box_b)
+            # J and dJ/dx with the operations, in the order, of
+            # total_cost_arrays and gradient_at.
+            q0, q1, q2, q3, q4 = self.q
+            cost = ((q0 * A - b0) * A + (q1 * l - b1) * l
+                    + (q2 * u - b2) * u + (q3 * e - b3) * e
+                    + (q4 * eta - b4) * eta)
+
+            # The ten box logs as the logs of two products, each factor in
+            # (0, 1/4]; per term where a product is not a normal float.
+            box_a = z0 * (1.0 - z0) * z1 * (1.0 - z1) * z2 * (1.0 - z2)
+            box_b = z3 * (1.0 - z3) * z4 * (1.0 - z4)
+            if box_a >= _MIN_NORMAL and box_b >= _MIN_NORMAL:
+                log_box = log(box_a) + log(box_b)
+            else:
+                log_box = ((log(z0) + log(z1) + log(z2) + log(z3) + log(z4))
+                           + (log1p(-z0) + log1p(-z1) + log1p(-z2)
+                              + log1p(-z3) + log1p(-z4)))
+            logs = log_box + log(g1) + log(g2) - self.log_scales
         else:
-            log_box = ((log(z0) + log(z1) + log(z2) + log(z3) + log(z4))
-                       + (log1p(-z0) + log1p(-z1) + log1p(-z2) + log1p(-z3)
-                          + log1p(-z4)))
-        f = cost - mu * (log_box + log(g1) + log(g2) - self.log_scales)
+            _, _, _, cost, A, l, eta, g1, g2, logs = point
+            u = lo2 + z2 * r2
+            e = lo3 + z3 * r3
+        f = cost - mu * logs
         if f_max is not None and not f <= f_max:
             return None
         # Gradient in z: dJ/dx_i times the range, the two box terms, then
@@ -493,7 +505,7 @@ class _BarrierProblem:
              (s3 * e - b3) * r3 - mu / z3 + mu / (1.0 - z3),
              (s4 * eta - b4) * r4 - mu / z4 + mu / (1.0 - z4)
              - c2 * (1.0 / A * r4)]
-        return z, f, g, cost, A, l, eta, g1, g2
+        return z, f, g, cost, A, l, eta, g1, g2, logs
 
 
 def barrier_objective(x: DesignVector, mu: float, w: WeightVector,
@@ -549,20 +561,6 @@ def interior_anchor(bounds: DesignBounds, cons: ConstraintSet) -> list[float]:
     return [z_A, top, 0.5, 0.5, top]
 
 
-def _interior(problem: _BarrierProblem, z: list[float]) -> bool:
-    """Whether z is strictly interior: ``evaluate``'s test (every z_i in
-    (0, 1), g1 > 0 and g2 > 0 at x(z); nan fails) in its expressions."""
-    z0, z1, z2, z3, z4 = z
-    if not (0.0 < z0 < 1.0 and 0.0 < z1 < 1.0 and 0.0 < z2 < 1.0
-            and 0.0 < z3 < 1.0 and 0.0 < z4 < 1.0):
-        return False
-    lo0, lo1, _, _, lo4 = problem.lb
-    r0, r1, _, _, r4 = problem.range
-    A = lo0 + z0 * r0
-    return (A * (lo1 + z1 * r1) - problem.V > 0.0
-            and (lo4 + z4 * r4) / A - problem.R > 0.0)
-
-
 def _repair_to_interior(problem: _BarrierProblem,
                         z: list[float]) -> list[float]:
     """Clip into the box with a range-relative margin, then pull along a
@@ -575,15 +573,16 @@ def _repair_to_interior(problem: _BarrierProblem,
     not strictly feasible and no anchor exists.
 
     The point is found by bisection on the grid index, in at most 6 tests
-    after the clipped start's.  The strictly feasible set is convex: it is
-    the open box, A*l > V with A, l > 0 (see the module docstring) and
-    eta/A > R, which for A > 0 is eta - R*A > 0.  It holds the anchor, the
-    segment's end, so the feasible points of the segment are an interval
-    that ends there, and the feasible grid points are a suffix of the
-    grid: the first of them is the first that a scan of the grid meets.
+    after the clipped start's, each ``evaluate`` at mu = 0.  The strictly
+    feasible set is convex: it is the open box, A*l > V with A, l > 0 (see
+    the module docstring) and eta/A > R, which for A > 0 is eta - R*A > 0.
+    It holds the anchor, the segment's end, so the feasible points of the
+    segment are an interval that ends there, and the feasible grid points
+    are a suffix of the grid: the first of them is the first that a scan
+    of the grid meets.
     """
     z = [min(max(zi, _MARGIN), 1.0 - _MARGIN) for zi in z]
-    if _interior(problem, z):
+    if problem.evaluate(z, 0.0) is not None:
         return z
 
     anchor = interior_anchor(problem.bounds, problem.cons)
@@ -597,7 +596,7 @@ def _repair_to_interior(problem: _BarrierProblem,
         s = 1.0 - t
         candidate = [s * z0 + t * a0, s * z1 + t * a1, s * z2 + t * a2,
                      s * z3 + t * a3, s * z4 + t * a4]
-        if _interior(problem, candidate):
+        if problem.evaluate(candidate, 0.0) is not None:
             hi, found = k, candidate
         else:
             lo = k
@@ -631,7 +630,7 @@ def _newton_stage(problem: _BarrierProblem, point: tuple, mu: float,
     r0, r1, _, _, r4 = problem.range
     evaluate = problem.evaluate
     # The constraint values g1 and g2 are s1 and s2 here; g is the gradient.
-    (z0, z1, z2, z3, z4), f, (g0, g1, g2, g3, g4), _, A, l, eta, s1, s2 \
+    (z0, z1, z2, z3, z4), f, (g0, g1, g2, g3, g4), _, A, l, eta, s1, s2, _ \
         = point
     iterations = 0
     low = -tol
@@ -713,8 +712,8 @@ def _newton_stage(problem: _BarrierProblem, point: tuple, mu: float,
             break  # no acceptable step: no progress possible
 
         point = trial
-        (t0, t1, t2, t3, t4), f, (g0, g1, g2, g3, g4), _, A, l, eta, s1, s2 \
-            = trial
+        (t0, t1, t2, t3, t4), f, (g0, g1, g2, g3, g4), _, A, l, eta, s1, s2, \
+            _ = trial
         in_place = (-1e-15 < t0 - z0 < 1e-15 and -1e-15 < t1 - z1 < 1e-15
                     and -1e-15 < t2 - z2 < 1e-15
                     and -1e-15 < t3 - z3 < 1e-15
@@ -733,13 +732,14 @@ def _solve_from_z(problem: _BarrierProblem, z0: list[float]) -> SolveResult:
     stages: list[bytes] = []  # mu, cost, stationarity, inner of each stage
     iterations = 0
     best_residual, best_z, best_cost = math.inf, z, math.inf
+    point = None
 
     for mu in _MU_SCHEDULE:
         # Below mu, a smaller gradient cannot lower the residual.
         inner_tol = max(0.3 * _KKT_TOLERANCE, mu)
-        # Each stage starts where the last ended.
-        point, inner = _newton_stage(problem, problem.evaluate(z, mu), mu,
-                                     inner_tol)
+        # Each stage starts where the last ended, from its point.
+        point, inner = _newton_stage(
+            problem, problem.evaluate(z, mu, None, point), mu, inner_tol)
         z, _, (g0, g1, g2, g3, g4), cost = point[:4]
         stationarity = max(abs(g0), abs(g1), abs(g2), abs(g3), abs(g4))
         # Primal multiplier estimates give lambda_i * slack_i = mu exactly,

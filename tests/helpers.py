@@ -394,7 +394,7 @@ def hessian(problem, point, mu):
     ``_BarrierProblem.evaluate``, as an arrowhead: the 5 diagonal entries,
     then the (A, l) and (A, eta) entries, the only nonzero ones off the
     diagonal (g1 ties A to l, g2 ties A to eta)."""
-    (z0, z1, z2, z3, z4), _, _, _, A, l, eta, g1, g2 = point
+    (z0, z1, z2, z3, z4), _, _, _, A, l, eta, g1, g2, _ = point
     k0, k1, k2, k3, k4 = problem.cost_hess_diag
     r0, r1, _, _, r4 = problem.range
     # The cost's curvature plus both box terms', per coordinate.

@@ -2,13 +2,14 @@
 against the surrogates, the fused evaluation against ``dockopt.objective``
 bit for bit and against the numpy reference, its interior test, the
 Hessian at an evaluated point against the one rebuilt from z and against
-central differences, the arrowhead Newton solve's backward error, the
-steepest-descent fallback, the evaluation bounded by a line search's
-Armijo test and that line search against full backtracking, the
+central differences, a stage's first point read from the last stage's
+point against the evaluated one, the arrowhead Newton solve's backward
+error, the steepest-descent fallback, the evaluation bounded by a line
+search's Armijo test and that line search against full backtracking, the
 written-out Newton step, stage and solve against the reference units of
-tests/helpers.py, the repair to a strictly feasible start, its bisection
-against a scan of its grid and its interior test against the
-evaluation's, each stage's end against the stopping rule, whole solves against two exact oracles (a bisection on
+tests/helpers.py, the repair to a strictly feasible start and its
+bisection against a scan of its grid, each stage's end against the
+stopping rule, whole solves against two exact oracles (a bisection on
 the reduced derivative and an enumeration of active faces, at vertices
 where a constraint meets two bounds too), and certified answers that are
 the same from every start.  Weights and coefficients are drawn with zeros
@@ -31,9 +32,10 @@ from dockopt import (ConstraintSet, DesignBounds, DesignVector,
 from dockopt.objective import gradient_at, total_cost_arrays
 from dockopt.scenarios import builtin_scenarios
 from dockopt.solver import (_MARGIN, _MAX_INNER_ITERATIONS,
-                            InfeasibleProblemError, _BarrierProblem,
-                            _interior, _newton_stage, _repair_to_interior,
-                            interior_anchor, latin_hypercube)
+                            _MU_SCHEDULE, InfeasibleProblemError,
+                            _BarrierProblem, _newton_stage,
+                            _repair_to_interior, interior_anchor,
+                            latin_hypercube)
 from helpers import (ReferenceBarrier, arrowhead_solve,
                      backtracking_line_search, certified_answer,
                      enumerated_min_cost, exact_min_cost, hessian,
@@ -119,7 +121,7 @@ def _dense(hess):
     return H
 
 
-def _strictly_interior(problem, z):
+def _interior(problem, z):
     """The definition of a strictly interior z: every z_i in (0, 1) (nan
     is not) and both constraints strictly positive at x(z)."""
     if not all(0.0 < zi < 1.0 for zi in z):
@@ -129,10 +131,10 @@ def _strictly_interior(problem, z):
 
 
 def _rebuilt(problem, z):
-    """A point for ``hessian`` rebuilt from z alone; the value, gradient
-    and cost slots are not read by the Hessian."""
+    """A point for ``hessian`` rebuilt from z alone; the value, gradient,
+    cost and log-barrier slots are not read by the Hessian."""
     A, l, _, _, eta = x = problem.x_of_z(z)
-    return (z, None, None, None, A, l, eta, *problem.constraints(x))
+    return (z, None, None, None, A, l, eta, *problem.constraints(x), None)
 
 
 ARROWHEAD = np.eye(5, dtype=bool)
@@ -254,16 +256,38 @@ def test_hessian_at_an_evaluated_point_is_the_one_rebuilt_from_z(
             == hessian(problem, _rebuilt(problem, trial[0]), mu)
 
 
+@settings(max_examples=150, deadline=None)
+@given(weights, coefficients, instances(), barrier_weights,
+       st.sampled_from(_MU_SCHEDULE))
+def test_a_stage_start_from_the_last_point_is_the_evaluated_one(
+        w, coeff, instance, mu, next_mu):
+    # a stage starts where the last ended, at the schedule's next mu,
+    # reading the mu-free parts from the last stage's point
+    bounds, cons, z = instance
+    problem = _BarrierProblem(w, coeff, bounds, cons)
+    point = problem.evaluate(z, mu)
+    assume(point is not None)
+    assert repr(problem.evaluate(z, next_mu, None, point)) \
+        == repr(problem.evaluate(z, next_mu))
+    # and from the point that a Newton line search accepts
+    trial = line_search(problem, point, newton_direction(problem, point, mu),
+                        mu)
+    if trial is not None:
+        assert repr(problem.evaluate(trial[0], next_mu, None, trial)) \
+            == repr(problem.evaluate(trial[0], next_mu))
+
+
 class PerTermBarrier(_BarrierProblem):
     """The barrier with its ten box logs summed term by term, one log or
-    log1p per term, instead of as the logs of two products."""
+    log1p per term, instead of as the logs of two products.  A given
+    ``point`` only saves work, so it is not read."""
 
-    def evaluate(self, z, mu, f_max=None):
+    def evaluate(self, z, mu, f_max=None, point=None):
         point = super().evaluate(z, mu)
         if point is None:
             return None
         z0, z1, z2, z3, z4 = z
-        _, _, g, cost, A, l, eta, g1, g2 = point
+        _, _, g, cost, A, l, eta, g1, g2, _ = point
         log_z = math.log(z0) + math.log(z1) + math.log(z2) + math.log(z3) \
             + math.log(z4)
         log_1mz = math.log1p(-z0) + math.log1p(-z1) + math.log1p(-z2) \
@@ -273,7 +297,7 @@ class PerTermBarrier(_BarrierProblem):
         f = cost - mu * logs
         if f_max is not None and not f <= f_max:
             return None
-        return z, f, g, cost, A, l, eta, g1, g2
+        return z, f, g, cost, A, l, eta, g1, g2, logs
 
 
 @pytest.mark.parametrize("mu", [1.0, 1e-6])
@@ -338,8 +362,7 @@ def test_evaluate_rejects_exactly_the_points_outside_the_interior(
     bounds, cons, z = instance
     problem = _BarrierProblem(w, coeff, bounds, cons)
     z = [zi if ei is None else ei for zi, ei in zip(z, edges)]
-    assert (problem.evaluate(z, mu) is not None) \
-        == _strictly_interior(problem, z)
+    assert (problem.evaluate(z, mu) is not None) == _interior(problem, z)
 
 
 # Both thresholds 0: the centre of the default box is strictly interior.
@@ -363,7 +386,6 @@ def test_a_coordinate_on_or_off_the_box_is_not_interior(i, value):
     assert min(LIFTED.constraints(LIFTED.x_of_z(z))) > 0.0 \
         or math.isnan(value)
     assert LIFTED.evaluate(z, 1.0) is None
-    assert not _strictly_interior(LIFTED, z)
     assert not _interior(LIFTED, z)
 
 
@@ -380,7 +402,6 @@ def test_a_constraint_at_exactly_zero_is_not_interior(name):
                                                    "tolerance_ratio_min": 0.0,
                                                    name: threshold}))
         assert (problem.evaluate(z, 1.0) is not None) is interior
-        assert _strictly_interior(problem, z) is interior
         assert _interior(problem, z) is interior
 
 
@@ -496,8 +517,8 @@ def _stage_problem(w, coeff, instance, broken, stalled):
         problem.cost_hess_diag = tuple(diag)
     if stalled:
         evaluate = problem.evaluate
-        problem.evaluate = lambda z, mu, f_max=None: (
-            None if f_max is not None else evaluate(z, mu))
+        problem.evaluate = lambda z, mu, f_max=None, point=None: (
+            None if f_max is not None else evaluate(z, mu, None, point))
     return problem
 
 
@@ -677,8 +698,8 @@ def test_repair_reaches_the_interior_whenever_the_clipped_box_is_feasible(
     bounds, cons, z = instance
     problem = _BarrierProblem(WeightVector(1, 1, 1, 1),
                               ObjectiveCoefficients(), bounds, cons)
-    assume(_strictly_interior(problem, z))
-    assert _strictly_interior(problem, _repair_to_interior(problem, start))
+    assume(_interior(problem, z))
+    assert _interior(problem, _repair_to_interior(problem, start))
 
 
 @st.composite
@@ -739,17 +760,6 @@ def test_repair_bisects_to_the_point_that_a_scan_of_its_grid_finds(kind,
     assert repr(_repair_to_interior(problem, start)) == repr(expected)
 
 
-@settings(max_examples=150, deadline=None)
-@given(weights, coefficients, instances(),
-       st.lists(st.one_of(st.none(), edge_values), min_size=5, max_size=5))
-def test_the_repairs_interior_test_is_evaluates(w, coeff, instance, edges):
-    # edges move z onto or off the box, or to nan, as above
-    bounds, cons, z = instance
-    problem = _BarrierProblem(w, coeff, bounds, cons)
-    z = [zi if ei is None else ei for zi, ei in zip(z, edges)]
-    assert _interior(problem, z) == (problem.evaluate(z, 0.0) is not None)
-
-
 def _anchor_from_the_problem(problem):
     """The repair anchor as built from a _BarrierProblem's own x(z), or
     None when the problem rejects it."""
@@ -778,7 +788,7 @@ def test_interior_anchor_needs_only_bounds_and_constraints(bounds, a, b):
             interior_anchor(bounds, cons)
     else:
         assert interior_anchor(bounds, cons) == expected
-        assert _strictly_interior(problem, expected)
+        assert _interior(problem, expected)
 
 
 def _solved(w, coeff, instance):
@@ -907,8 +917,8 @@ def test_a_stage_ends_once_its_residual_cannot_fall(scenario, w, coeff):
         stages.append((problem, [point]))
         return stage(problem, point, mu, tol)
 
-    def recorded_evaluate(problem, z, mu, f_max=None):
-        point = evaluate(problem, z, mu, f_max)
+    def recorded_evaluate(problem, z, mu, f_max=None, last=None):
+        point = evaluate(problem, z, mu, f_max, last)
         if f_max is not None and point is not None:
             stages[-1][1].append(point)
         return point

@@ -131,22 +131,32 @@ class TestSolve:
             assert min(cons.values(result.x_star)) >= -1e-9
 
     def test_a_repair_makes_at_most_seven_interior_tests(self, monkeypatch):
-        # one test of the clipped start, then a bisection of the segment's
-        # 64 steps toward the anchor; a solve tests points only to repair
-        # its start
-        interior, counts = dockopt.solver._interior, []
+        # one evaluation of the clipped start, then a bisection of the
+        # segment's 64 steps toward the anchor, counted through the
+        # problem's evaluate while the repair runs
+        repair, counts = dockopt.solver._repair_to_interior, []
 
         def counted(problem, z):
-            counts[-1] += 1
-            return interior(problem, z)
+            evaluate = problem.evaluate
 
-        monkeypatch.setattr(dockopt.solver, "_interior", counted)
+            def counting(*args):
+                counts[-1] += 1
+                return evaluate(*args)
+
+            counts.append(0)
+            problem.evaluate = counting
+            try:
+                return repair(problem, z)
+            finally:
+                del problem.evaluate
+
+        monkeypatch.setattr(dockopt.solver, "_repair_to_interior", counted)
         cons = ConstraintSet(volume_min=1.8, tolerance_ratio_min=1.45)
         for z in latin_hypercube(16, 0):
             x_init = DesignVector(*(lo + zi * (hi - lo) for lo, hi, zi in zip(
                 BOUNDS.lower.as_tuple(), BOUNDS.upper.as_tuple(), z)))
-            counts.append(0)
             assert solve(W1111, ONES, BOUNDS, cons, x_init).converged
+        assert len(counts) == 16
         assert max(counts) == 7 and min(counts) >= 1
 
     def test_iteration_cap_reports_limit(self, monkeypatch):
@@ -164,8 +174,9 @@ class TestSolve:
         evaluate = dockopt.solver._BarrierProblem.evaluate
         monkeypatch.setattr(
             dockopt.solver._BarrierProblem, "evaluate",
-            lambda problem, z, mu, f_max=None:
-            None if f_max is not None else evaluate(problem, z, mu))
+            lambda problem, z, mu, f_max=None, point=None:
+            None if f_max is not None else evaluate(problem, z, mu, None,
+                                                    point))
         result = solve(W1111, ONES, BOUNDS, CONS, DEFAULT_X_INIT)
         assert result.status is SolverStatus.IterationLimit
         assert [stage.mu for stage in result.outer_trace] \
