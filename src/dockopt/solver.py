@@ -116,15 +116,15 @@ chained comparisons, -tol <= g_i <= tol and -1e-15 < t_i - z_i < 1e-15,
 not a max of abs values: on finite values they decide alike.  A nan
 gradient component fails the gradient test (max(abs(...)) would read it
 as converged in position 0 only), and the step from it finds no interior
-trial, so such a stage takes no step either way.  The per-stage
-bookkeeping of ``_solve_from_z``, ``_polish`` and the repair's segment are
-written out on scalars too.
+trial, so such a stage takes no step either way.  ``_polish`` and the
+per-stage bookkeeping of ``_solve_from_z`` are written out on scalars
+too.
 
 Each trial point is evaluated once, in one fused pass
 (``_BarrierProblem.evaluate``): it rejects a point that is not strictly
 interior, then computes x, g1, g2, J and the barrier value, and the line
 search rejects a trial whose value fails the Armijo bound there, before
-its gradient is built (4,203 of the 10,691 trials of the benchmark's
+its gradient is built (4,216 of the 10,955 trials of the benchmark's
 81-point weight sweep, seed 1).  An accepted point carries its value and
 gradient and keeps A, l, eta, g1 and g2, and the next step's Hessian
 reads them from it.  J and its gradient are built on the 10 constants of
@@ -153,10 +153,11 @@ Each stage's first point is ``evaluate`` at the z where the last stage
 ended, at the stage's mu, given the last stage's point: x, g1, g2, J and
 the log-barrier sum do not depend on mu, so they are read from it, and
 only f and g are computed, in the same expressions.  Each solve repairs
-its own start (``_repair_to_interior``, at most 7 evaluations: a few
-microseconds of a solve's hundreds).  So a solve reads no state that
-another solve left, and nothing is kept between them but the active-set
-names and the Latin-hypercube starts.
+its own start (``_repair_to_interior``): one evaluation of the clipped
+start, and ``interior_anchor`` in its place if that is not strictly
+interior.  So a solve reads no state that another solve left, and nothing
+is kept between them but the active-set names and the Latin-hypercube
+starts.
 """
 
 from __future__ import annotations
@@ -531,10 +532,10 @@ def barrier_objective(x: DesignVector, mu: float, w: WeightVector,
 
 
 def interior_anchor(bounds: DesignBounds, cons: ConstraintSet) -> list[float]:
-    """The strictly feasible point, in box-normalized coordinates, toward
-    which ``_repair_to_interior`` pulls a start; it depends on the bounds
-    and constraints alone, so a configuration can be checked before any
-    solve.
+    """The strictly feasible point, in box-normalized coordinates, at which
+    a solve starts when its clipped start is not strictly interior (see
+    ``_repair_to_interior``); it depends on the bounds and constraints
+    alone, so a configuration can be checked before any solve.
 
     Both constraints grow with l and eta, so the anchor puts them at
     1 - _MARGIN, u and e at 0.5, and A at the middle of the band where
@@ -563,44 +564,18 @@ def interior_anchor(bounds: DesignBounds, cons: ConstraintSet) -> list[float]:
 
 def _repair_to_interior(problem: _BarrierProblem,
                         z: list[float]) -> list[float]:
-    """Clip into the box with a range-relative margin, then pull along a
-    segment toward ``interior_anchor`` until the nonlinear constraints hold
-    strictly.  Deterministic.
+    """The barrier's first point: the start clipped into the box with a
+    range-relative margin if that is strictly interior (one ``evaluate`` at
+    mu = 0), else ``interior_anchor``.  Raises InfeasibleProblemError when
+    the clipped start is not strictly interior and no anchor exists.
 
-    The first strictly feasible point on a 1/64 grid of the segment from
-    the clipped start is returned; the anchor itself is the last point of
-    that grid.  Raises InfeasibleProblemError when the clipped start is
-    not strictly feasible and no anchor exists.
-
-    The point is found by bisection on the grid index, in at most 6 tests
-    after the clipped start's, each ``evaluate`` at mu = 0.  The strictly
-    feasible set is convex: it is the open box, A*l > V with A, l > 0 (see
-    the module docstring) and eta/A > R, which for A > 0 is eta - R*A > 0.
-    It holds the anchor, the segment's end, so the feasible points of the
-    segment are an interval that ends there, and the feasible grid points
-    are a suffix of the grid: the first of them is the first that a scan
-    of the grid meets.
+    The barrier needs only some strictly feasible start, and the certified
+    answer does not depend on which (see ``_polish``).
     """
     z = [min(max(zi, _MARGIN), 1.0 - _MARGIN) for zi in z]
     if problem.evaluate(z, 0.0) is not None:
         return z
-
-    anchor = interior_anchor(problem.bounds, problem.cons)
-    z0, z1, z2, z3, z4 = z
-    a0, a1, a2, a3, a4 = anchor
-    # The grid point at lo is not feasible and the one at hi is.
-    lo, hi, found = 0, 64, anchor
-    while hi - lo > 1:
-        k = (lo + hi) // 2
-        t = k / 64
-        s = 1.0 - t
-        candidate = [s * z0 + t * a0, s * z1 + t * a1, s * z2 + t * a2,
-                     s * z3 + t * a3, s * z4 + t * a4]
-        if problem.evaluate(candidate, 0.0) is not None:
-            hi, found = k, candidate
-        else:
-            lo = k
-    return found
+    return interior_anchor(problem.bounds, problem.cons)
 
 
 def _newton_stage(problem: _BarrierProblem, point: tuple, mu: float,
@@ -991,11 +966,10 @@ def solve(w: WeightVector, coeff: ObjectiveCoefficients, bounds: DesignBounds,
           cons: ConstraintSet, x_init: DesignVector) -> SolveResult:
     """Barrier continuation from a single start point.
 
-    A non-interior x_init is repaired by clipping into the box with a
-    1e-3-range margin and, if a nonlinear constraint is violated, pulling
-    along a segment toward one computed strictly feasible anchor (see
-    ``_repair_to_interior``); InfeasibleProblemError means no point of the
-    clipped box is strictly feasible.
+    x_init is clipped into the box with a 1e-3-range margin; if that point
+    is not strictly interior, the solve starts at ``interior_anchor``
+    instead (see ``_repair_to_interior``).  InfeasibleProblemError means
+    no point of the clipped box is strictly feasible.
     """
     problem = _BarrierProblem(w, coeff, bounds, cons)
     z0 = problem.z_of_x(x_init.as_tuple())

@@ -9,9 +9,8 @@ solves the stationarity equations of every combination of active faces,
 the quadrature
 oracle integrates sin(phi) numerically instead of using the closed form,
 the reference barrier evaluates the value, gradient and Hessian with
-numpy arrays instead of the solver's plain-float code, the reference
-line search evaluates every trial in full before its Armijo test, and the
-reference repair scans every point of its grid instead of bisecting.
+numpy arrays instead of the solver's plain-float code, and the reference
+line search evaluates every trial in full before its Armijo test.
 
 ``hessian``, ``arrowhead_solve``, ``newton_direction`` and ``line_search``
 are one Newton step of ``dockopt.solver._newton_stage`` taken apart: the
@@ -30,8 +29,7 @@ import numpy as np
 from dockopt import DesignBounds, ObjectiveCoefficients, WeightVector
 from dockopt.objective import gradient_at, total_cost_arrays
 from dockopt.solver import (_ARMIJO_C, _BACKTRACK_FACTOR, _BOUNDARY_FRACTION,
-                            _MARGIN, _MAX_INNER_ITERATIONS, _MIN_STEP,
-                            ConstraintSet, interior_anchor)
+                            _MAX_INNER_ITERATIONS, _MIN_STEP, ConstraintSet)
 
 
 def grid_min_cost(w: WeightVector, coeff: ObjectiveCoefficients,
@@ -507,29 +505,6 @@ def newton_stage(problem, point, mu, tol):
         if moved < 1e-15:
             break
     return point, iterations
-
-
-def repair_by_scan(problem, z):
-    """``dockopt.solver._repair_to_interior`` by a scan of its grid: the
-    start clipped into the box with the margin if that is strictly
-    interior, else the first strictly interior point of 63 on the segment
-    toward ``interior_anchor`` (t = k/64, k = 1..63, in the repair's
-    expressions), else the anchor.  Interior means ``evaluate`` returns a
-    point."""
-    z = [min(max(zi, _MARGIN), 1.0 - _MARGIN) for zi in z]
-    if problem.evaluate(z, 0.0) is not None:
-        return z
-    anchor = interior_anchor(problem.bounds, problem.cons)
-    z0, z1, z2, z3, z4 = z
-    a0, a1, a2, a3, a4 = anchor
-    for k in range(1, 64):
-        t = k / 64
-        s = 1.0 - t
-        candidate = [s * z0 + t * a0, s * z1 + t * a1, s * z2 + t * a2,
-                     s * z3 + t * a3, s * z4 + t * a4]
-        if problem.evaluate(candidate, 0.0) is not None:
-            return candidate
-    return anchor
 
 
 def certified_answer(result) -> str:

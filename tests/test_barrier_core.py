@@ -7,8 +7,8 @@ point against the evaluated one, the arrowhead Newton solve's backward
 error, the steepest-descent fallback, the evaluation bounded by a line
 search's Armijo test and that line search against full backtracking, the
 written-out Newton step, stage and solve against the reference units of
-tests/helpers.py, the repair to a strictly feasible start and its
-bisection against a scan of its grid, each stage's end against the
+tests/helpers.py, the repair to a strictly feasible start (the clipped
+start if it is interior, else the anchor), each stage's end against the
 stopping rule, whole solves against two exact oracles (a bisection on
 the reduced derivative and an enumeration of active faces, at vertices
 where a constraint meets two bounds too), and certified answers that are
@@ -34,13 +34,12 @@ from dockopt.scenarios import builtin_scenarios
 from dockopt.solver import (_MARGIN, _MAX_INNER_ITERATIONS,
                             _MU_SCHEDULE, InfeasibleProblemError,
                             _BarrierProblem, _newton_stage,
-                            _repair_to_interior, interior_anchor,
-                            latin_hypercube)
+                            _repair_to_interior, _solve_from_z,
+                            interior_anchor, latin_hypercube)
 from helpers import (ReferenceBarrier, arrowhead_solve,
                      backtracking_line_search, certified_answer,
                      enumerated_min_cost, exact_min_cost, hessian,
-                     line_search, newton_direction, newton_stage,
-                     repair_by_scan)
+                     line_search, newton_direction, newton_stage)
 
 EPS = np.finfo(float).eps
 
@@ -703,61 +702,50 @@ def test_repair_reaches_the_interior_whenever_the_clipped_box_is_feasible(
 
 
 @st.composite
-def narrow_bands(draw):
-    """A box, thresholds that leave A a band of relative width about 2e,
-    e log-uniform in [1e-9, 0.1], around a drawn A where l and eta are at
-    the anchor's 1 - 1e-3, and a start with z_l and z_eta at most 0.5: its
-    segment toward the anchor is feasible near the anchor only, or at the
-    anchor alone."""
+def shared_thresholds(draw):
+    """A box and thresholds V and R, each a share in [0, 1.5] of the box's
+    largest A*l or eta/A, so that about half of the draws leave no
+    strictly feasible point."""
     bounds = draw(boxes)
     lo, hi = bounds.lower, bounds.upper
-    top = 1.0 - _MARGIN
-    l_top = lo.l + top * (hi.l - lo.l)
-    eta_top = lo.eta + top * (hi.eta - lo.eta)
-    A = lo.A + draw(st.floats(0.05, 0.95)) * (hi.A - lo.A)
-    shrink = 1.0 - draw(st.floats(-9.0, -1.0).map(lambda k: 10.0**k))
-    start = draw(st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 0.5),
-                           st.floats(-1.0, 2.0), st.floats(-1.0, 2.0),
-                           st.floats(-1.0, 0.5)))
-    return (bounds, ConstraintSet(A * l_top * shrink, eta_top / A * shrink),
-            list(start))
+    a, b = draw(st.floats(0.0, 1.5)), draw(st.floats(0.0, 1.5))
+    return bounds, ConstraintSet(a * hi.A * hi.l, b * hi.eta / lo.A)
 
 
-# The starts a repair meets, by the point that it returns: the clipped
-# start itself, a point of the segment before the anchor, or the anchor.
-REPAIR_CASES = {
-    "interior": instances(clipped_points),
-    "segment": st.builds(lambda instance, start: (*instance[:2], start),
-                         instances(), starts),
-    "anchor": narrow_bands(),
-}
+def _with_start(instance, start):
+    return (*instance[:2], start)
 
 
-def _repair_kind(problem, start, repaired):
-    """Which of REPAIR_CASES a repair of ``start`` to ``repaired`` is."""
-    if repaired == [min(max(zi, _MARGIN), 1.0 - _MARGIN) for zi in start]:
-        return "interior"
-    if repaired == interior_anchor(problem.bounds, problem.cons):
-        return "anchor"
-    return "segment"
+# The starts a repair meets: a clipped start that is strictly interior by
+# construction, or a start in [-1, 2]^5 on a feasible instance or on
+# thresholds that may leave no strictly feasible point.
+repair_cases = st.one_of(
+    instances(clipped_points),
+    st.builds(_with_start, instances(), starts),
+    st.builds(_with_start, shared_thresholds(), starts))
 
 
-@pytest.mark.parametrize("kind", REPAIR_CASES)
 @settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_repair_bisects_to_the_point_that_a_scan_of_its_grid_finds(kind,
-                                                                   data):
-    # the feasible grid points are a suffix of the segment, so the
-    # bisection's point is the scan's first, bit for bit
-    bounds, cons, start = data.draw(REPAIR_CASES[kind])
-    problem = _BarrierProblem(WeightVector(1, 1, 1, 1),
-                              ObjectiveCoefficients(), bounds, cons)
+@given(weights, coefficients, repair_cases)
+def test_a_solve_starts_at_its_clipped_start_if_interior_else_the_anchor(
+        w, coeff, instance):
+    bounds, cons, start = instance
+    problem = _BarrierProblem(w, coeff, bounds, cons)
+    clipped = [min(max(zi, _MARGIN), 1.0 - _MARGIN) for zi in start]
+    if _interior(problem, clipped):
+        assert repr(_repair_to_interior(problem, start)) == repr(clipped)
+        return
     try:
-        expected = repair_by_scan(problem, start)
+        anchor = interior_anchor(bounds, cons)
     except InfeasibleProblemError:
-        assume(False)
-    assume(_repair_kind(problem, start, expected) == kind)
-    assert repr(_repair_to_interior(problem, start)) == repr(expected)
+        with pytest.raises(InfeasibleProblemError):
+            _repair_to_interior(problem, start)
+        return
+    assert repr(_repair_to_interior(problem, start)) == repr(anchor)
+    from_start = _solve_from_z(problem, start)
+    from_anchor = _solve_from_z(problem, anchor)
+    assert repr(from_start) == repr(from_anchor)
+    assert repr(from_start.outer_trace) == repr(from_anchor.outer_trace)
 
 
 def _anchor_from_the_problem(problem):
@@ -774,12 +762,9 @@ def _anchor_from_the_problem(problem):
 
 
 @settings(max_examples=300, deadline=None)
-@given(boxes, st.floats(0.0, 1.5), st.floats(0.0, 1.5))
-def test_interior_anchor_needs_only_bounds_and_constraints(bounds, a, b):
-    # thresholds from a share of the box's largest A*l and eta/A, so about
-    # half of the examples leave no strictly feasible point
-    lo, hi = bounds.lower, bounds.upper
-    cons = ConstraintSet(a * hi.A * hi.l, b * hi.eta / lo.A)
+@given(shared_thresholds())
+def test_interior_anchor_needs_only_bounds_and_constraints(instance):
+    bounds, cons = instance
     problem = _BarrierProblem(WeightVector(1, 1, 1, 1),
                               ObjectiveCoefficients(), bounds, cons)
     expected = _anchor_from_the_problem(problem)
