@@ -20,18 +20,29 @@ constraint thresholds, so mu acts uniformly across heterogeneous units.
 Each constraint's log slack is taken as log(g) - log(threshold), which
 stays finite for any positive threshold.
 
-The continuation runs the schedule mu = 10^-k, k = 0..11.  A stage ends
-at a gradient of max(3e-9, mu), after 200 Newton steps, or when no step
-makes progress (the line search finds none, or the accepted one leaves z
-in place).  First-order optimality is measured with primal multiplier
-estimates lambda_i = mu / slack_i; a stage's KKT residual is
-max(stationarity, mu), mu being the complementarity gap the barrier
-leaves against the original problem.  So a stage's residual cannot fall
-below its mu, and Newton steps that take the gradient below mu would only
-polish a point that the next stage moves anyway: intermediate centering
-need not be exact (Boyd & Vandenberghe, section 11.3.3).  Once the best
+The continuation runs the schedule mu = 10^-k, k = 0..11, at most.  A
+stage ends at a gradient of max(3e-9, mu), 3e-9 being the inner floor
+0.3 * 1e-8, after 200 Newton steps, or when no step makes progress (the
+line search finds none, or the accepted one leaves z in place).
+First-order optimality is measured with primal multiplier estimates
+lambda_i = mu / slack_i; a stage's KKT residual is max(stationarity, mu),
+mu being the complementarity gap the barrier leaves against the original
+problem.  So a stage's residual cannot fall below its mu, and Newton
+steps that take the gradient below mu would only polish a point that the
+next stage moves anyway: intermediate centering need not be exact (Boyd &
+Vandenberghe, section 11.3.3).  The first stage whose residual is at most
+the inner floor ends the continuation, as the barrier method stops once
+its gap bound meets the tolerance (ibid., section 11.3.1): every later
+stage aims at the same floor, and the polish, gated at 1e-4, needs no
+lower residual.  No stage above mu = 1e-9 can get there, since its
+residual is at least its mu, so a solve that converges ends after its
+mu = 1e-9 stage; one that stalls there runs on.  The exit leaves every
+certified answer as it was, since the polish reads the problem alone.
+Only a solve whose polish fails at that point reports a different
+IterationLimit iterate: the floor stage's, where the whole schedule may
+have reached a later stage with a lower residual.  Once the best
 residual so far is at most 1e-4, a stage whose residual is above ten
-times the best ends the continuation: refinement is exhausted.
+times the best ends the continuation too: refinement is exhausted.
 
 A solve is Converged only when ``_polish`` certifies it.  Whenever the
 best stage's residual is at most 1e-4, the polish solves the problem
@@ -57,9 +68,10 @@ the barrier's best stage is reported as IterationLimit.
 and stationarity as float64 and its inner count as uint16, 26 bytes per
 stage in one ``bytes`` object, read back as ``BarrierStage`` objects.
 Results with the same active set share one tuple of its names, made once
-per process.  A kept result takes 957 B (tracemalloc, over a 50-point
-weight sweep whose active sets were met before), against 1.1 KB with the
-trace in an ``array('d')`` and 2.1 KB with a tuple of stage objects.
+per process.  A kept result takes 919 B (tracemalloc, over a 50-point
+weight sweep whose active sets were met before; 10.26 stages a solve),
+against 1.1 KB with the trace in an ``array('d')`` and 2.1 KB with a
+tuple of stage objects (both measured on 12 stages a solve).
 
 The barrier is strictly convex on the interior for mu > 0 (Boyd &
 Vandenberghe, Convex Optimization, sections 3.1 and 11.2):
@@ -124,8 +136,8 @@ Each trial point is evaluated once, in one fused pass
 (``_BarrierProblem.evaluate``): it rejects a point that is not strictly
 interior, then computes x, g1, g2, J and the barrier value, and the line
 search rejects a trial whose value fails the Armijo bound there, before
-its gradient is built (4,216 of the 10,955 trials of the benchmark's
-81-point weight sweep, seed 1).  An accepted point carries its value and
+its gradient is built (745 of the 6,200 trials of the benchmark's 81-point
+weight sweep, seed 1).  An accepted point carries its value and
 gradient and keeps A, l, eta, g1 and g2, and the next step's Hessian
 reads them from it.  J and its gradient are built on the 10 constants of
 ``dockopt.objective.quadratic_form`` (J = sum((q_i*x_i - b_i)*x_i),
@@ -196,9 +208,14 @@ _ACTIVE_SLACK = 1e-6
 # that is reported as IterationLimit.
 _POLISH_RESIDUAL = 1e-4
 _MAX_ROOT_STEPS = 100
-# Barrier weights of the continuation, mu = 10^-k for k = 0..11.
+# Barrier weights of the continuation, mu = 10^-k for k = 0..11: the most
+# stages a solve runs.  It ends after the first stage whose residual is at
+# most _INNER_FLOOR, which a converged mu = 1e-9 stage is.
 _MU_SCHEDULE = tuple(10.0 ** -k for k in range(12))
 _KKT_TOLERANCE = 1e-8
+# The least gradient a stage aims at, and the residual that ends the
+# continuation: every later stage would aim at the same floor.
+_INNER_FLOOR = 0.3 * _KKT_TOLERANCE
 _MAX_INNER_ITERATIONS = 200
 _ARMIJO_C = 1e-4
 _BACKTRACK_FACTOR = 0.5
@@ -291,10 +308,10 @@ class BarrierTrace(Sequence):
     iteration build ``BarrierStage`` objects on access, and a slice is a
     BarrierTrace.  The trace is immutable and hashable, equal to a trace
     of the same stage values (compared as floats, so 0.0 == -0.0 and a nan
-    is unequal to itself), and deep-copies to itself.  A solve's 12
-    stages take 345 bytes this way, against 464 in an ``array('d')`` of
-    48 values and about 1.4 KB as a tuple of BarrierStage objects, each
-    holding two boxed floats.
+    is unequal to itself), and deep-copies to itself.  The 10 stages of a
+    solve that converges at mu = 1e-9 take 293 bytes this way, against
+    400 in an ``array('d')`` of 40 values and about 1.7 KB (tracemalloc)
+    as a tuple of BarrierStage objects, each holding its boxed floats.
     """
 
     __slots__ = ("_data",)
@@ -711,7 +728,7 @@ def _solve_from_z(problem: _BarrierProblem, z0: list[float]) -> SolveResult:
 
     for mu in _MU_SCHEDULE:
         # Below mu, a smaller gradient cannot lower the residual.
-        inner_tol = max(0.3 * _KKT_TOLERANCE, mu)
+        inner_tol = max(_INNER_FLOOR, mu)
         # Each stage starts where the last ended, from its point.
         point, inner = _newton_stage(
             problem, problem.evaluate(z, mu, None, point), mu, inner_tol)
@@ -724,6 +741,8 @@ def _solve_from_z(problem: _BarrierProblem, z0: list[float]) -> SolveResult:
         iterations += inner
         if residual < best_residual:
             best_residual, best_z, best_cost = residual, z, cost
+        if residual <= _INNER_FLOOR:
+            break  # every later stage aims at this floor too
         if best_residual <= _POLISH_RESIDUAL \
                 and residual > 10.0 * best_residual:
             break  # refinement exhausted: polish the best stage

@@ -9,7 +9,8 @@ search's Armijo test and that line search against full backtracking, the
 written-out Newton step, stage and solve against the reference units of
 tests/helpers.py, the repair to a strictly feasible start (the clipped
 start if it is interior, else the anchor), each stage's end against the
-stopping rule, whole solves against two exact oracles (a bisection on
+stopping rule, the continuation's end after the first stage at the inner
+floor, whole solves against two exact oracles (a bisection on
 the reduced derivative and an enumeration of active faces, at vertices
 where a constraint meets two bounds too), and certified answers that are
 the same from every start.  Weights and coefficients are drawn with zeros
@@ -31,7 +32,7 @@ from dockopt import (ConstraintSet, DesignBounds, DesignVector,
                      total_cost)
 from dockopt.objective import gradient_at, total_cost_arrays
 from dockopt.scenarios import builtin_scenarios
-from dockopt.solver import (_MARGIN, _MAX_INNER_ITERATIONS,
+from dockopt.solver import (_INNER_FLOOR, _MARGIN, _MAX_INNER_ITERATIONS,
                             _MU_SCHEDULE, InfeasibleProblemError,
                             _BarrierProblem, _newton_stage,
                             _repair_to_interior, _solve_from_z,
@@ -882,6 +883,25 @@ def test_the_grouped_log_sum_changes_no_answer(w, coeff, instance):
         patch.setattr(dockopt.solver, "_BarrierProblem", PerTermBarrier)
         per_term = solve(w, coeff, bounds, cons, x_init)
     assert certified_answer(grouped) == certified_answer(per_term)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights, coefficients, instances())
+def test_the_continuation_ends_after_the_first_stage_at_the_floor(
+        w, coeff, instance):
+    # a trace runs a prefix of the schedule, every stage but the last
+    # above the inner floor; one that ends above it before the schedule's
+    # end has stopped refining (its residual is ten times the best)
+    bounds, cons, z = instance
+    trace = _solve_from_z(_BarrierProblem(w, coeff, bounds, cons),
+                          z).outer_trace
+    mus = [stage.mu for stage in trace]
+    assert mus == list(_MU_SCHEDULE[:len(mus)])
+    residuals = [max(stage.stationarity, stage.mu) for stage in trace]
+    assert all(residual > _INNER_FLOOR for residual in residuals[:-1])
+    if residuals[-1] > _INNER_FLOOR and len(trace) < len(_MU_SCHEDULE):
+        assert min(residuals) <= dockopt.solver._POLISH_RESIDUAL
+        assert residuals[-1] > 10.0 * min(residuals)
 
 
 @settings(max_examples=60, deadline=None)

@@ -310,6 +310,43 @@ class TestSolve:
         assert result.kkt_residual <= 1e-8
         assert result.status is SolverStatus.IterationLimit
 
+    def test_the_sweep_stall_reproducer_ends_at_its_converged_stage(self):
+        # a benchmark sweep item (seed 1) that converges at mu = 1e-9; the
+        # full schedule spent 200 steps more in its mu = 1e-11 stage
+        w = WeightVector(1.5137892422443797, 2.1417264701457674,
+                         1.5648124901311866, 2.190030353172781)
+        coeff = reference_coefficients()
+        problem = dockopt.solver._BarrierProblem(w, coeff, BOUNDS, CONS)
+        result = dockopt.solver._solve_from_z(
+            problem, dockopt.solver.interior_anchor(BOUNDS, CONS))
+        assert repr(multi_start_solve(w, coeff, BOUNDS, CONS)) == repr(result)
+        assert result.converged
+        assert result.outer_trace[-1].mu == 1e-9
+        assert all(stage.inner_iterations
+                   < dockopt.solver._MAX_INNER_ITERATIONS
+                   for stage in result.outer_trace)
+
+    def test_a_failed_polish_reports_the_floor_stage(self, monkeypatch):
+        # the stall reproducer again, with a polish that fails: the
+        # continuation still ends at its converged mu = 1e-9 stage, and
+        # that stage's point and residual are the IterationLimit answer
+        monkeypatch.setattr(dockopt.solver, "_polish",
+                            lambda *args, **kwargs: None)
+        w = WeightVector(1.5137892422443797, 2.1417264701457674,
+                         1.5648124901311866, 2.190030353172781)
+        problem = dockopt.solver._BarrierProblem(
+            w, reference_coefficients(), BOUNDS, CONS)
+        result = dockopt.solver._solve_from_z(
+            problem, dockopt.solver.interior_anchor(BOUNDS, CONS))
+        last = result.outer_trace[-1]
+        assert result.status is SolverStatus.IterationLimit
+        assert [stage.mu for stage in result.outer_trace] \
+            == list(dockopt.solver._MU_SCHEDULE[:10])
+        assert result.iterations == 81
+        assert result.kkt_residual == max(last.stationarity, last.mu) \
+            <= dockopt.solver._INNER_FLOOR
+        assert result.objective.J == pytest.approx(last.cost, abs=1e-12)
+
     def test_barrier_path_cost_is_monotone(self):
         for scenario in builtin_scenarios():
             result = solve(scenario.weights, ONES, scenario.bounds,
