@@ -20,6 +20,13 @@ constraint thresholds, so mu acts uniformly across heterogeneous units.
 Each constraint's log slack is taken as log(g) - log(threshold), which
 stays finite for any positive threshold.
 
+Once the Armijo bound f + 1e-4 * alpha * g.p is not below f, f cannot
+show the decrease at that alpha or any smaller one, and halving on would
+only try steps that f64 cannot resolve (Boyd & Vandenberghe, section
+9.5).  So the line search makes one last trial there: it is the step if
+its f meets the bound or its largest |g_i| is below the point's, and
+otherwise no step is found and the stage ends.
+
 The continuation runs the schedule mu = 10^-k, k = 0..11, at most.  A
 stage ends at a gradient of max(3e-9, mu), 3e-9 being the inner floor
 0.3 * 1e-8, after 200 Newton steps, or when no step makes progress (the
@@ -36,13 +43,16 @@ its gap bound meets the tolerance (ibid., section 11.3.1): every later
 stage aims at the same floor, and the polish, gated at 1e-4, needs no
 lower residual.  No stage above mu = 1e-9 can get there, since its
 residual is at least its mu, so a solve that converges ends after its
-mu = 1e-9 stage; one that stalls there runs on.  The exit leaves every
-certified answer as it was, since the polish reads the problem alone.
-Only a solve whose polish fails at that point reports a different
-IterationLimit iterate: the floor stage's, where the whole schedule may
-have reached a later stage with a lower residual.  Once the best
-residual so far is at most 1e-4, a stage whose residual is above ten
-times the best ends the continuation too: refinement is exhausted.
+mu = 1e-9 stage.  Once the best residual so far is at most 1e-4, two
+more stages end the continuation.  One is a stage at mu <= 3e-9, whose
+gradient target is the floor itself, that stalls above the floor under
+the step cap: the stages after it aim at the same floor from nearer the
+faces.  The other is a stage whose residual is above ten times the best:
+refinement is exhausted.  These exits leave every certified answer as it
+was, since the polish reads the problem alone.  Only a solve whose
+polish fails there reports a different IterationLimit iterate: its best
+stage so far, where the whole schedule may have reached a later stage
+with a lower residual.
 
 A solve is Converged only when ``_polish`` certifies it.  Whenever the
 best stage's residual is at most 1e-4, the polish solves the problem
@@ -68,8 +78,8 @@ the barrier's best stage is reported as IterationLimit.
 and stationarity as float64 and its inner count as uint16, 26 bytes per
 stage in one ``bytes`` object, read back as ``BarrierStage`` objects.
 Results with the same active set share one tuple of its names, made once
-per process.  A kept result takes 919 B (tracemalloc, over a 50-point
-weight sweep whose active sets were met before; 10.26 stages a solve),
+per process.  A kept result takes 912 B (tracemalloc, over a 50-point
+weight sweep whose active sets were met before; 10.00 stages a solve),
 against 1.1 KB with the trace in an ``array('d')`` and 2.1 KB with a
 tuple of stage objects (both measured on 12 stages a solve).
 
@@ -136,8 +146,10 @@ Each trial point is evaluated once, in one fused pass
 (``_BarrierProblem.evaluate``): it rejects a point that is not strictly
 interior, then computes x, g1, g2, J and the barrier value, and the line
 search rejects a trial whose value fails the Armijo bound there, before
-its gradient is built (745 of the 6,200 trials of the benchmark's 81-point
-weight sweep, seed 1).  An accepted point carries its value and
+its gradient is built (122 of the 5,175 trials of the benchmark's 81-point
+weight sweep, seed 1).  A last trial at a bound that rounds to f is
+evaluated in full (316 of those trials: 283 kept on f, 31 on the
+gradient, 2 rejected).  An accepted point carries its value and
 gradient and keeps A, l, eta, g1 and g2, and the next step's Hessian
 reads them from it.  J and its gradient are built on the 10 constants of
 ``dockopt.objective.quadratic_form`` (J = sum((q_i*x_i - b_i)*x_i),
@@ -210,7 +222,9 @@ _POLISH_RESIDUAL = 1e-4
 _MAX_ROOT_STEPS = 100
 # Barrier weights of the continuation, mu = 10^-k for k = 0..11: the most
 # stages a solve runs.  It ends after the first stage whose residual is at
-# most _INNER_FLOOR, which a converged mu = 1e-9 stage is.
+# most _INNER_FLOOR, which a converged mu = 1e-9 stage is, or, once the
+# best residual is within _POLISH_RESIDUAL, after a stage at mu <=
+# _INNER_FLOOR that stalls above the floor under the step cap.
 _MU_SCHEDULE = tuple(10.0 ** -k for k in range(12))
 _KKT_TOLERANCE = 1e-8
 # The least gradient a stage aims at, and the residual that ends the
@@ -611,12 +625,18 @@ def _newton_stage(problem: _BarrierProblem, point: tuple, mu: float,
       docstring) happens only on a nan or an overflow;
     * Armijo backtracking from the largest box-respecting step, each
       trial evaluated against the Armijo bound (``evaluate``'s
-      ``f_max``), so that a rejected trial costs its value alone.
+      ``f_max``), so that a rejected trial costs its value alone.  At
+      the first alpha where the bound is not below f, one last trial is
+      evaluated against f_max = inf (a point that is not interior, or
+      whose f is nan, is still rejected) and kept if its f meets the
+      bound or its largest |g_i| is below the point's.
 
     Stops at the gradient tolerance, at the step cap, or when no step
-    makes progress: the line search finds none, or the accepted one
-    leaves z in place (near-active slacks are position-quantized at f64
-    resolution).  Returns the evaluated iterate and the steps taken.
+    makes progress: the line search finds none (every trial fails the
+    Armijo bound or leaves the interior, or the last trial at a bound
+    that rounds to f is not kept), or the accepted one leaves z in place
+    (near-active slacks are position-quantized at f64 resolution).
+    Returns the evaluated iterate and the steps taken.
     """
     k0, k1, k2, k3, k4 = problem.cost_hess_diag
     r0, r1, _, _, r4 = problem.range
@@ -692,15 +712,34 @@ def _newton_stage(problem: _BarrierProblem, point: tuple, mu: float,
             nearest = limit
         alpha = min(1.0, _BOUNDARY_FRACTION * nearest)
 
+        trial = None
         while alpha > _MIN_STEP:
-            trial = evaluate([z0 + alpha * p0, z1 + alpha * p1,
-                              z2 + alpha * p2, z3 + alpha * p3,
-                              z4 + alpha * p4],
-                             mu, f + _ARMIJO_C * alpha * gp)
+            bound = f + _ARMIJO_C * alpha * gp
+            z_trial = [z0 + alpha * p0, z1 + alpha * p1, z2 + alpha * p2,
+                       z3 + alpha * p3, z4 + alpha * p4]
+            if not bound < f:
+                # f cannot show the decrease at this alpha or any smaller
+                # one: one last trial, kept if it meets the bound or if
+                # its largest |g_i| is below the point's.
+                trial = evaluate(z_trial, mu, math.inf)
+                if trial is not None and not trial[1] <= bound:
+                    top = 0.0
+                    for gi in (g0, g1, g2, g3, g4):
+                        if gi > top:
+                            top = gi
+                        elif -gi > top:
+                            top = -gi
+                    t0, t1, t2, t3, t4 = trial[2]
+                    if not (-top < t0 < top and -top < t1 < top
+                            and -top < t2 < top and -top < t3 < top
+                            and -top < t4 < top):
+                        trial = None
+                break
+            trial = evaluate(z_trial, mu, bound)
             if trial is not None:
                 break
             alpha *= _BACKTRACK_FACTOR
-        else:
+        if trial is None:
             break  # no acceptable step: no progress possible
 
         point = trial
@@ -743,9 +782,11 @@ def _solve_from_z(problem: _BarrierProblem, z0: list[float]) -> SolveResult:
             best_residual, best_z, best_cost = residual, z, cost
         if residual <= _INNER_FLOOR:
             break  # every later stage aims at this floor too
-        if best_residual <= _POLISH_RESIDUAL \
-                and residual > 10.0 * best_residual:
-            break  # refinement exhausted: polish the best stage
+        if best_residual <= _POLISH_RESIDUAL:
+            if mu <= _INNER_FLOOR and inner < _MAX_INNER_ITERATIONS:
+                break  # a floor stage stalled: later ones aim at it too
+            if residual > 10.0 * best_residual:
+                break  # refinement exhausted: polish the best stage
 
     # The exact point is the answer if its J is at most the best stage's
     # plus 4 ulp, both in the kernel's expression.

@@ -10,7 +10,8 @@ the quadrature
 oracle integrates sin(phi) numerically instead of using the closed form,
 the reference barrier evaluates the value, gradient and Hessian with
 numpy arrays instead of the solver's plain-float code, and the reference
-line search evaluates every trial in full before its Armijo test.
+line search evaluates every trial in full before its Armijo test, and
+makes one last trial where that bound rounds to f.
 
 ``hessian``, ``arrowhead_solve``, ``newton_direction`` and ``line_search``
 are one Newton step of ``dockopt.solver._newton_stage`` taken apart: the
@@ -355,6 +356,11 @@ class ReferenceBarrier:
         return hess
 
 
+def largest(g):
+    """The largest |g_i|, or nan if a component is nan."""
+    return math.nan if any(map(math.isnan, g)) else max(map(abs, g))
+
+
 def backtracking_line_search(problem, point, p, mu):
     """Armijo backtracking along p from an evaluated point of a
     ``dockopt.solver._BarrierProblem``, looped over the coordinates.  The
@@ -362,8 +368,12 @@ def backtracking_line_search(problem, point, p, mu):
     box face ahead.  Every trial is evaluated in full (value and gradient),
     and the first one that is strictly interior with f <= f0 + c*alpha*g.p
     is returned; the step halves down to 1e-16, and None means no trial
-    passed.  ``line_search``, and so each step of the solver's stage, must
-    accept the same point, bit for bit."""
+    passed.  At the first alpha where that bound is not below f0, f cannot
+    show the decrease, and that trial is the last: it passes if it is
+    strictly interior with an f that is not nan, and either meets the
+    bound or has a smaller largest |g_i| than the point.  ``line_search``,
+    and so each step of the solver's stage, must accept the same point,
+    bit for bit."""
     z, f, g = point[:3]
     gp = g[0] * p[0]
     for gi, pi in zip(g[1:], p[1:]):
@@ -380,8 +390,15 @@ def backtracking_line_search(problem, point, p, mu):
             nearest = limit
     alpha = min(1.0, _BOUNDARY_FRACTION * nearest)
     while alpha > _MIN_STEP:
+        bound = f + _ARMIJO_C * alpha * gp
         trial = problem.evaluate([zi + alpha * pi for zi, pi in zip(z, p)], mu)
-        if trial is not None and trial[1] <= f + _ARMIJO_C * alpha * gp:
+        if not bound < f:
+            # the last trial: f cannot resolve the bound here
+            if trial is not None and not math.isnan(trial[1]) and (
+                    trial[1] <= bound or largest(trial[2]) < largest(g)):
+                return trial
+            return None
+        if trial is not None and trial[1] <= bound:
             return trial
         alpha *= _BACKTRACK_FACTOR
     return None
@@ -456,7 +473,10 @@ def line_search(problem, point, p, mu):
     """Armijo backtracking from an evaluated point, starting from the
     largest box-respecting step; trial points outside the strict interior
     shrink the step further.  Returns the accepted point, or None.  Each
-    trial is evaluated against the Armijo bound (``evaluate``'s f_max)."""
+    trial is evaluated against the Armijo bound (``evaluate``'s f_max)
+    while the bound is below f.  At the first alpha where it is not, one
+    last trial is evaluated against f_max = inf and kept if it meets the
+    bound or lowers the largest |g_i|."""
     (z0, z1, z2, z3, z4), f, (g0, g1, g2, g3, g4) = point[:3]
     p0, p1, p2, p3, p4 = p
     gp = g0 * p0 + g1 * p1 + g2 * p2 + g3 * p3 + g4 * p4
@@ -477,10 +497,17 @@ def line_search(problem, point, p, mu):
             nearest = limit
     alpha = min(1.0, _BOUNDARY_FRACTION * nearest)
     while alpha > _MIN_STEP:
-        trial = problem.evaluate([z0 + alpha * p0, z1 + alpha * p1,
-                                  z2 + alpha * p2, z3 + alpha * p3,
-                                  z4 + alpha * p4],
-                                 mu, f + _ARMIJO_C * alpha * gp)
+        bound = f + _ARMIJO_C * alpha * gp
+        z = [z0 + alpha * p0, z1 + alpha * p1, z2 + alpha * p2,
+             z3 + alpha * p3, z4 + alpha * p4]
+        if not bound < f:
+            # f cannot resolve the bound at this alpha or a smaller one
+            trial = problem.evaluate(z, mu, math.inf)
+            if trial is not None and (trial[1] <= bound or largest(trial[2])
+                                      < largest(point[2])):
+                return trial
+            return None
+        trial = problem.evaluate(z, mu, bound)
         if trial is not None:
             return trial
         alpha *= _BACKTRACK_FACTOR
@@ -490,7 +517,8 @@ def line_search(problem, point, p, mu):
 def newton_stage(problem, point, mu, tol):
     """``dockopt.solver._newton_stage`` as a loop over the units above:
     Newton steps while the gradient is above tol and under the step cap,
-    ended early by a line search that finds no step or a step that moves
+    ended early by a line search that finds no step (its last trial at an
+    Armijo bound that rounds to f rejected included) or a step that moves
     z by less than 1e-15."""
     z, _, g = point[:3]
     iterations = 0

@@ -39,7 +39,7 @@ from dockopt.solver import (_INNER_FLOOR, _MARGIN, _MAX_INNER_ITERATIONS,
                             interior_anchor, latin_hypercube)
 from helpers import (ReferenceBarrier, arrowhead_solve,
                      backtracking_line_search, certified_answer,
-                     enumerated_min_cost, exact_min_cost, hessian,
+                     enumerated_min_cost, exact_min_cost, hessian, largest,
                      line_search, newton_direction, newton_stage)
 
 EPS = np.finfo(float).eps
@@ -632,6 +632,48 @@ def test_a_stage_is_the_reference_units_stage(w, coeff, instance, mu,
         == repr(newton_stage(problem, point, mu, tol))
 
 
+@settings(max_examples=150, deadline=None)
+@given(weights, coefficients, instances(), barrier_weights,
+       st.floats(-12.0, 0.0).map(lambda k: 10.0**k))
+def test_an_accepted_step_meets_a_resolved_bound_or_is_the_one_last_trial(
+        w, coeff, instance, mu, tol):
+    # A stage's trials are read through its evaluations, each with its
+    # bound f_max.  While the Armijo bound is below the point's f, a trial
+    # that the evaluation returns meets it and is the step.  At the first
+    # bound that is not below f, f cannot resolve the decrease: that trial
+    # is the line search's last, and it is the step only if f did not rise
+    # or the largest |g_i| fell.  A rejected last trial ends the stage.
+    bounds, cons, z = instance
+    problem = _BarrierProblem(w, coeff, bounds, cons)
+    start = problem.evaluate(z, mu)
+    assume(start is not None)
+    evaluate, trials = problem.evaluate, []
+
+    def recorded(z, mu, f_max=None, point=None):
+        trial = evaluate(z, mu, f_max, point)
+        trials.append((f_max, trial))
+        return trial
+
+    problem.evaluate = recorded
+    end, steps = _newton_stage(problem, start, mu, tol)
+    point, accepted = start, 0
+    for i, (f_max, trial) in enumerate(trials):
+        if f_max < point[1]:
+            if trial is not None:
+                assert trial[1] <= f_max
+                point, accepted = trial, accepted + 1
+            continue
+        # the one trial at an unresolved bound: the stage moves on from it,
+        # or it is the stage's last evaluation
+        kept = trial is not None and (i + 1 < len(trials) or trial is end)
+        if not kept:
+            assert i + 1 == len(trials)
+            break
+        assert trial[1] <= point[1] or largest(trial[2]) < largest(point[2])
+        point, accepted = trial, accepted + 1
+    assert accepted == steps and point is end
+
+
 # A bound on f: a float, or an int k for the point's own f moved by k ulps
 # (from 0.0 if z is not interior).
 f_bounds = st.one_of(st.integers(-2, 2),
@@ -889,19 +931,28 @@ def test_the_grouped_log_sum_changes_no_answer(w, coeff, instance):
 @given(weights, coefficients, instances())
 def test_the_continuation_ends_after_the_first_stage_at_the_floor(
         w, coeff, instance):
-    # a trace runs a prefix of the schedule, every stage but the last
-    # above the inner floor; one that ends above it before the schedule's
-    # end has stopped refining (its residual is ten times the best)
+    # a trace runs a prefix of the schedule and ends at its first stage
+    # that meets an exit, or runs the whole schedule.  The exits: a
+    # residual at the inner floor; or, once the best residual is within
+    # the polish gate, a stage at mu <= the floor that stalls under the
+    # step cap (the stages after it aim at the same floor), or a residual
+    # above ten times the best (refinement exhausted)
     bounds, cons, z = instance
     trace = _solve_from_z(_BarrierProblem(w, coeff, bounds, cons),
                           z).outer_trace
     mus = [stage.mu for stage in trace]
     assert mus == list(_MU_SCHEDULE[:len(mus)])
-    residuals = [max(stage.stationarity, stage.mu) for stage in trace]
-    assert all(residual > _INNER_FLOOR for residual in residuals[:-1])
-    if residuals[-1] > _INNER_FLOOR and len(trace) < len(_MU_SCHEDULE):
-        assert min(residuals) <= dockopt.solver._POLISH_RESIDUAL
-        assert residuals[-1] > 10.0 * min(residuals)
+    exits, best = [], math.inf
+    for stage in trace:
+        residual = max(stage.stationarity, stage.mu)
+        best = min(best, residual)
+        stalled_at_the_floor = stage.mu <= _INNER_FLOOR \
+            and stage.inner_iterations < _MAX_INNER_ITERATIONS
+        exits.append(residual <= _INNER_FLOOR
+                     or best <= dockopt.solver._POLISH_RESIDUAL
+                     and (stalled_at_the_floor or residual > 10.0 * best))
+    assert not any(exits[:-1])
+    assert exits[-1] or len(trace) == len(_MU_SCHEDULE)
 
 
 @settings(max_examples=60, deadline=None)
@@ -914,13 +965,20 @@ def test_a_stage_ends_once_its_residual_cannot_fall(scenario, w, coeff):
     # or one that leaves z in place.  The stage's steps are read through
     # the evaluations that it makes: a line search's trials are the
     # evaluations bounded by its Armijo test, and the accepted one is the
-    # next step's point.
+    # next step's point.  A last trial at an Armijo bound that rounds to f
+    # is evaluated against f_max = inf, and is not a step if the stage
+    # rejects it: it is then the stage's last evaluation, and not the
+    # point that the stage returns.
     stage, evaluate = dockopt.solver._newton_stage, _BarrierProblem.evaluate
     stages = []
 
     def recorded_stage(problem, point, mu, tol):
         stages.append((problem, [point]))
-        return stage(problem, point, mu, tol)
+        end = stage(problem, point, mu, tol)
+        points = stages[-1][1]
+        if points[-1] is not end[0]:
+            points.pop()
+        return end
 
     def recorded_evaluate(problem, z, mu, f_max=None, last=None):
         point = evaluate(problem, z, mu, f_max, last)

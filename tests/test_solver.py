@@ -347,6 +347,50 @@ class TestSolve:
             <= dockopt.solver._INNER_FLOOR
         assert result.objective.J == pytest.approx(last.cost, abs=1e-12)
 
+    def test_a_floor_stage_that_stalls_ends_the_continuation(self):
+        # a benchmark sweep item (seed 1) whose mu = 1e-9 stage stalls
+        # above the inner floor, under the step cap: the stages after it
+        # aim at the same floor, so the continuation ends there (the full
+        # schedule ran 12 stages and 132 steps)
+        w = WeightVector(0.908862560229202, 1.5021101958936687,
+                         0.8357530854370073, 2.222895601711595)
+        coeff = reference_coefficients()
+        problem = dockopt.solver._BarrierProblem(w, coeff, BOUNDS, CONS)
+        result = dockopt.solver._solve_from_z(
+            problem, dockopt.solver.interior_anchor(BOUNDS, CONS))
+        assert repr(multi_start_solve(w, coeff, BOUNDS, CONS)) == repr(result)
+        assert result.converged
+        last = result.outer_trace[-1]
+        assert last.mu == 1e-9
+        assert last.stationarity > dockopt.solver._INNER_FLOOR
+        assert last.inner_iterations < dockopt.solver._MAX_INNER_ITERATIONS
+        assert len(result.outer_trace) == 10 and result.iterations == 90
+
+    def test_a_stage_takes_its_last_trial_where_the_armijo_bound_rounds(self):
+        # a random problem whose mu = 1e-4 stage reaches 7.7e-9 only through
+        # trials at Armijo bounds that round to f; ending the line search
+        # before any such trial stalls it at 1.4e-4, above the polish gate
+        w = WeightVector(3.3508567357913797, 2.9685437303765405,
+                         2.5739937317217754, 1.2659015074352382)
+        coeff = ObjectiveCoefficients(
+            kA=0.0021686710134107352, kl=0.003547327663867038,
+            ku=0.010045630321438771, ke=187.69389002164834,
+            k_eta=102.49560144415496, au=19.80174182386842,
+            ae=0.011819587173678913, a_eta=0.4600014228880745,
+            bA=0.00424807045026885, bl=4.293789880350427,
+            bu=0.8879949218419633)
+        cons = ConstraintSet(1.5582006917399953, 0.05608998382206769)
+        start = DesignVector(1e-06, 2.489831704562248, 1.0,
+                             0.34315365087197713, 0.7640427408151425)
+        result = solve(w, coeff, BOUNDS, cons, start)
+        x_star = DesignVector(0.7305210929688553, 2.1329989054900937, 1.0,
+                              0.177, 0.040974916286302294)
+        assert certified_answer(result) == repr((
+            SolverStatus.Converged, x_star, total_cost(x_star, w, coeff),
+            8.912141857830846e-16, (0.0, 0.0),
+            ("e_lower", "u_upper", "volume_min", "tolerance_ratio_min")))
+        assert result.objective.J == -1.6877507130460403
+
     def test_barrier_path_cost_is_monotone(self):
         for scenario in builtin_scenarios():
             result = solve(scenario.weights, ONES, scenario.bounds,
