@@ -146,7 +146,7 @@ Each trial point is evaluated once, in one fused pass
 (``_BarrierProblem.evaluate``): it rejects a point that is not strictly
 interior, then computes x, g1, g2, J and the barrier value, and the line
 search rejects a trial whose value fails the Armijo bound there, before
-its gradient is built (122 of the 5,175 trials of the benchmark's 81-point
+its gradient is built (122 of the 4,512 trials of the benchmark's 81-point
 weight sweep, seed 1).  A last trial at a bound that rounds to f is
 evaluated in full (316 of those trials: 283 kept on f, 31 on the
 gradient, 2 rejected).  An accepted point carries its value and
@@ -181,7 +181,11 @@ its own start (``_repair_to_interior``): one evaluation of the clipped
 start, and ``interior_anchor`` in its place if that is not strictly
 interior.  So a solve reads no state that another solve left, and nothing
 is kept between them but the active-set names and the Latin-hypercube
-starts.
+starts.  The anchor puts l and eta halfway between their constraint floors
+and the top of the box, not 1e-3 below their upper faces: the barrier's
+cost depends on how far its start is from the central path (Boyd &
+Vandenberghe, section 11.3).  On the benchmark's sweep, where every solve
+starts there, the mu = 1 stage ends after 1 Newton step instead of 9.
 """
 
 from __future__ import annotations
@@ -568,11 +572,16 @@ def interior_anchor(bounds: DesignBounds, cons: ConstraintSet) -> list[float]:
     ``_repair_to_interior``); it depends on the bounds and constraints
     alone, so a configuration can be checked before any solve.
 
-    Both constraints grow with l and eta, so the anchor puts them at
-    1 - _MARGIN, u and e at 0.5, and A at the middle of the band where
-    A*l > V and eta/A > R, clipped to [_MARGIN, 1 - _MARGIN].  If that
-    anchor is not strictly feasible, no point of the clipped box is, and
-    this raises InfeasibleProblemError.
+    Both constraints grow with l and eta, so A is placed with them at the
+    top, 1 - _MARGIN: at the middle of the band where A*l > V and
+    eta/A > R, clipped to [_MARGIN, 1 - _MARGIN].  If that top point is
+    not strictly feasible, no point of the clipped box is, and this raises
+    InfeasibleProblemError.  Otherwise the anchor keeps that A, puts u and
+    e at 0.5, and moves l and eta to halfway between the top and their
+    floors at that A, V/A and R*A (each at least _MARGIN of its range):
+    where no constraint binds, that is the centre of the box.  If rounding
+    leaves this point not strictly interior (a band of A a few ulp wide),
+    the anchor is the top point.
     """
     lb = bounds.lower.as_tuple()
     ranges = [hi - lo for lo, hi in zip(lb, bounds.upper.as_tuple())]
@@ -590,6 +599,13 @@ def interior_anchor(bounds: DesignBounds, cons: ConstraintSet) -> list[float]:
             f"no point inside the bounds strictly satisfies A*l > volume_min "
             f"= {V:g} and eta/A > tolerance_ratio_min = {R:g}; check bounds "
             "against constraints")
+    # The top point is feasible, so each floor is at most 1 in z, and z_l
+    # and z_eta lie in [0.5, 1): only the constraints can fail, by rounding.
+    z_l = 0.5 * (max(_MARGIN, (V / A - lb[1]) / ranges[1]) + top)
+    z_eta = 0.5 * (max(_MARGIN, (R * A - lb[4]) / ranges[4]) + top)
+    l, eta = lb[1] + z_l * ranges[1], lb[4] + z_eta * ranges[4]
+    if A * l - V > 0.0 and eta / A - R > 0.0:
+        return [z_A, z_l, 0.5, 0.5, z_eta]
     return [z_A, top, 0.5, 0.5, top]
 
 
@@ -601,7 +617,9 @@ def _repair_to_interior(problem: _BarrierProblem,
     the clipped start is not strictly interior and no anchor exists.
 
     The barrier needs only some strictly feasible start, and the certified
-    answer does not depend on which (see ``_polish``).
+    answer does not depend on which (see ``_polish``); the anchor is
+    centred in the feasible band only because the barrier takes fewer
+    Newton steps from there.
     """
     z = [min(max(zi, _MARGIN), 1.0 - _MARGIN) for zi in z]
     if problem.evaluate(z, 0.0) is not None:

@@ -8,13 +8,15 @@ error, the steepest-descent fallback, the evaluation bounded by a line
 search's Armijo test and that line search against full backtracking, the
 written-out Newton step, stage and solve against the reference units of
 tests/helpers.py, the repair to a strictly feasible start (the clipped
-start if it is interior, else the anchor), each stage's end against the
-stopping rule, the continuation's end after the first stage at the inner
-floor, whole solves against two exact oracles (a bisection on
-the reduced derivative and an enumeration of active faces, at vertices
-where a constraint meets two bounds too), and certified answers that are
-the same from every start.  Weights and coefficients are drawn with zeros
-wherever their validators allow them."""
+start if it is interior, else the anchor), the centred anchor against the
+top-point feasibility oracle and the same certified answers from both,
+each stage's end against the stopping rule, the continuation's end after
+the first stage at the inner floor, whole solves against two exact
+oracles (a bisection on the reduced derivative and an enumeration of
+active faces, at vertices where a constraint meets two bounds too), and
+certified answers that are the same from every start.  Weights and
+coefficients are drawn with zeros wherever their validators allow
+them."""
 
 import math
 import operator
@@ -791,9 +793,11 @@ def test_a_solve_starts_at_its_clipped_start_if_interior_else_the_anchor(
     assert repr(from_start.outer_trace) == repr(from_anchor.outer_trace)
 
 
-def _anchor_from_the_problem(problem):
-    """The repair anchor as built from a _BarrierProblem's own x(z), or
-    None when the problem rejects it."""
+def _top_anchor_from_the_problem(problem):
+    """The feasibility oracle, built from a _BarrierProblem's own x(z): l
+    and eta at 1 - _MARGIN, u and e at 0.5, A at the middle of the band
+    where A*l > V and eta/A > R.  None when the problem rejects it: then no
+    point of the clipped box is strictly feasible."""
     top = 1.0 - _MARGIN
     _, l, _, _, eta = problem.x_of_z([top] * 5)
     V, R = problem.cons.volume_min, problem.cons.tolerance_ratio_min
@@ -804,19 +808,48 @@ def _anchor_from_the_problem(problem):
     return anchor if problem.evaluate(anchor, 0.0) is not None else None
 
 
+def _anchor_from_the_problem(problem):
+    """The repair anchor as built from a _BarrierProblem's own x(z): the
+    top anchor's A, with l and eta halfway between their floors V/A and
+    R*A (at least _MARGIN) and 1 - _MARGIN, or the top anchor itself when
+    the problem rejects that point.  None when there is no top anchor."""
+    top_anchor = _top_anchor_from_the_problem(problem)
+    if top_anchor is None:
+        return None
+    top = 1.0 - _MARGIN
+    A = problem.x_of_z(top_anchor)[0]
+    V, R = problem.cons.volume_min, problem.cons.tolerance_ratio_min
+    (_, l_lb, _, _, eta_lb), (_, r_l, _, _, r_eta) = problem.lb, problem.range
+    anchor = [top_anchor[0],
+              0.5 * (max(_MARGIN, (V / A - l_lb) / r_l) + top), 0.5, 0.5,
+              0.5 * (max(_MARGIN, (R * A - eta_lb) / r_eta) + top)]
+    return anchor if problem.evaluate(anchor, 0.0) is not None else top_anchor
+
+
 @settings(max_examples=300, deadline=None)
 @given(shared_thresholds())
+# a band of A a few ulp wide, where the centred point is not strictly
+# interior and the anchor is the top point
+@example((default_bounds(),
+          ConstraintSet(1.7401275388165316, 1.7208523129497582)))
 def test_interior_anchor_needs_only_bounds_and_constraints(instance):
+    # it raises if and only if the top-point oracle finds no strictly
+    # interior point, and is the centred anchor otherwise
     bounds, cons = instance
     problem = _BarrierProblem(WeightVector(1, 1, 1, 1),
                               ObjectiveCoefficients(), bounds, cons)
-    expected = _anchor_from_the_problem(problem)
-    if expected is None:
+    if _top_anchor_from_the_problem(problem) is None:
         with pytest.raises(InfeasibleProblemError):
             interior_anchor(bounds, cons)
     else:
+        expected = _anchor_from_the_problem(problem)
         assert interior_anchor(bounds, cons) == expected
         assert _interior(problem, expected)
+
+
+def test_the_anchor_is_the_box_centre_where_no_constraint_binds():
+    assert interior_anchor(default_bounds(), ConstraintSet(0.0, 0.0)) \
+        == [0.5] * 5
 
 
 def _solved(w, coeff, instance):
@@ -892,6 +925,25 @@ def test_solve_matches_the_active_set_enumeration(w, coeff, instance):
     bounds, cons, _ = instance
     best = enumerated_min_cost(w, coeff, bounds, cons)
     assert abs(J - best) <= 1e-12 * max(1.0, abs(J))
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights, coefficients,
+       st.one_of(shared_thresholds(),
+                 vertex_instances().map(lambda instance: instance[:2])))
+def test_the_centred_anchor_certifies_what_the_top_anchor_does(w, coeff,
+                                                               instance):
+    # the start moves the barrier's path, not a certified answer: where a
+    # solve from the top anchor is Converged, the one from interior_anchor
+    # is too, with the same answer bit for bit
+    bounds, cons = instance
+    problem = _BarrierProblem(w, coeff, bounds, cons)
+    top_anchor = _top_anchor_from_the_problem(problem)
+    assume(top_anchor is not None)
+    from_top = _solve_from_z(problem, top_anchor)
+    assume(from_top.converged)
+    from_anchor = _solve_from_z(problem, interior_anchor(bounds, cons))
+    assert certified_answer(from_anchor) == certified_answer(from_top)
 
 
 LATIN_STARTS = [DesignVector(*(lo + zi * (hi - lo) for lo, hi, zi in zip(

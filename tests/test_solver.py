@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import itertools
 import math
 import pickle
 import tracemalloc
@@ -342,7 +343,7 @@ class TestSolve:
         assert result.status is SolverStatus.IterationLimit
         assert [stage.mu for stage in result.outer_trace] \
             == list(dockopt.solver._MU_SCHEDULE[:10])
-        assert result.iterations == 81
+        assert result.iterations == 72
         assert result.kkt_residual == max(last.stationarity, last.mu) \
             <= dockopt.solver._INNER_FLOOR
         assert result.objective.J == pytest.approx(last.cost, abs=1e-12)
@@ -350,8 +351,8 @@ class TestSolve:
     def test_a_floor_stage_that_stalls_ends_the_continuation(self):
         # a benchmark sweep item (seed 1) whose mu = 1e-9 stage stalls
         # above the inner floor, under the step cap: the stages after it
-        # aim at the same floor, so the continuation ends there (the full
-        # schedule ran 12 stages and 132 steps)
+        # aim at the same floor, so the continuation ends there (without
+        # that exit it runs 11 stages and 92 steps)
         w = WeightVector(0.908862560229202, 1.5021101958936687,
                          0.8357530854370073, 2.222895601711595)
         coeff = reference_coefficients()
@@ -364,7 +365,19 @@ class TestSolve:
         assert last.mu == 1e-9
         assert last.stationarity > dockopt.solver._INNER_FLOOR
         assert last.inner_iterations < dockopt.solver._MAX_INNER_ITERATIONS
-        assert len(result.outer_trace) == 10 and result.iterations == 90
+        assert len(result.outer_trace) == 10 and result.iterations == 81
+
+    def test_the_first_stage_from_the_anchor_takes_one_step(self):
+        # the anchor puts l and eta halfway between each constraint's floor
+        # and the top, not 1e-3 below their upper faces, so the mu = 1 stage
+        # has no faces to move away from (it took 9 steps from there)
+        coeff = reference_coefficients()
+        anchor = dockopt.solver.interior_anchor(BOUNDS, CONS)
+        for w in itertools.product([0.5, 1.5, 2.5], repeat=4):
+            problem = dockopt.solver._BarrierProblem(
+                WeightVector(*w), coeff, BOUNDS, CONS)
+            first = dockopt.solver._solve_from_z(problem, anchor).outer_trace[0]
+            assert (first.mu, first.inner_iterations) == (1.0, 1)
 
     def test_a_stage_takes_its_last_trial_where_the_armijo_bound_rounds(self):
         # a random problem whose mu = 1e-4 stage reaches 7.7e-9 only through
