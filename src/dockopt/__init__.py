@@ -14,8 +14,7 @@ from .oracle import (SimulationConfig, SimulationReport,
 from .scenarios import (CalibrationResult, Scenario, builtin_scenarios,
                         calibrate, reference_coefficients, scenario_by_name)
 from .solver import (BarrierStage, ConstraintSet, SolveResult, SolverSettings,
-                     SolverStatus, barrier_objective, multi_start_solve,
-                     solve)
+                     SolverStatus, barrier_objective, solve)
 
 __all__ = [
     "BarrierStage", "CalibrationResult", "ConstraintSet", "DesignBounds",
@@ -25,8 +24,7 @@ __all__ = [
     "SolverSettings", "SolverStatus", "WeightVector", "barrier_objective",
     "builtin_scenarios", "calibrate", "control_fidelity", "default_bounds",
     "docking_reliability", "docking_tolerance", "entry_area_fraction",
-    "hydro_loss", "monetary_cost", "multi_start_solve",
-    "rayleigh_success_probability", "realize_design",
+    "hydro_loss", "monetary_cost", "rayleigh_success_probability", "realize_design",
     "reference_coefficients", "reliability_correlation", "saturate",
     "scenario_by_name", "simulate_docking", "solve", "total_cost",
     "versatility",

@@ -18,11 +18,12 @@ names: ``problem.weights`` (WeightVector), ``problem.x_init``,
 (DesignVector), ``problem.constraints`` (ConstraintSet), ``coefficients``
 (ObjectiveCoefficients), ``solver`` (SolverSettings) and
 ``simulation.geometry`` (DockGeometry).  ``solve`` and ``sweep`` run one
-barrier solve per weight vector from the problem's ``x_init``, so
-``solver`` sets only the Latin-hypercube starts of ``calibrate`` (at
-most ``multistart_count``, drawn from ``seed``), which change no answer,
-and the default seed of ``simulate`` and ``check-gradients``; the barrier
-schedule and tolerances are fixed.
+barrier solve per weight vector from the problem's ``x_init``, and
+``calibrate`` one per evaluation from ``solver.interior_anchor``.  So
+``solver.seed`` sets only the default seed of ``simulate`` and
+``check-gradients``, and ``solver.multistart_count`` is accepted (an
+integer >= 1) and changes nothing; the barrier schedule and tolerances
+are fixed.
 Integer fields take integral values only (``3`` or ``3.0``).  Every bad
 value, an unknown key included, is a configuration error naming its path,
 raised before any work starts.

@@ -17,8 +17,7 @@ surrogate pinned at 1 to remove the normalization null direction.
 
 ``calibrate`` is the only code here that loads scipy (``scipy.optimize``
 alone, for ``least_squares``) and numpy, each on its first call; the
-solver draws its Latin-hypercube starts with numpy and never loads
-``scipy.stats``.  Importing this module loads neither.
+solver loads neither.  Importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ from dataclasses import dataclass, replace
 from .domain import (DesignBounds, DesignVector, WeightVector, check_integer,
                      default_bounds)
 from .objective import ObjectiveCoefficients
-# multi_start_solve stays a name of this module: bench/tracing.py wraps it
-# by name.
+# calibrate calls multi_start_solve through this module's name because
+# bench/ wraps it there to time each solve.
 from .solver import ConstraintSet, SolverSettings, multi_start_solve
 
 # Coefficients the calibration adjusts; kA, ku, au, bA stay pinned at 1.
@@ -126,7 +125,8 @@ _REFERENCE_COEFFICIENTS: dict[str, float] = {
 
 def minimize(*args, **kwargs):
     """``scipy.optimize.minimize``, imported on the first call.  Unused
-    here: it stays only because bench/tracing.py wraps it by name."""
+    here: it stays only because bench/tracing.py wraps it by name, and goes
+    once bench/ stops wrapping it."""
     from scipy.optimize import minimize as scipy_minimize
     return scipy_minimize(*args, **kwargs)
 
@@ -146,10 +146,11 @@ def calibrate(target: Scenario, initial_coeff: ObjectiveCoefficients,
     to [-7, 6].  The misses are (x* - x_target) / scale, where scale is
     the target component if it is > 0 and the box range otherwise, so
     the built-in targets are fitted by relative miss.  Each evaluation is
-    a full multi-start solve, the Jacobian's included, and at most
-    ``budget`` of them are spent.  Never fails hard: the point with the
-    least squared scaled miss seen is returned, with ``residual`` its
-    squared distance to the target.
+    one barrier solve from ``interior_anchor`` (``multi_start_solve``), the
+    Jacobian's included, and at most ``budget`` of them are spent.  Never
+    fails hard: the point with the least squared scaled miss seen is
+    returned, with ``residual`` its squared distance to the target.
+    ``settings`` selects nothing; it stays only because bench/ passes it.
     """
     import numpy as np
     from scipy.optimize import least_squares

@@ -108,18 +108,18 @@ which is Cholesky on the reordered matrix and so fails only on a nan or an
 overflow; the direction is then -g.
 
 So one solve from any start reaches the optimum, and ``solve`` is the
-solver.  ``multi_start_solve`` runs it from Latin-hypercube start points
-(deterministic in the seed), one start at a time, and stops at the first
-run that converged.  No answer depends on the starts: each of the 243
-problems of the benchmark's sweep (seeds 1-3) and 500 random ones gives
-the same x*, bit for bit, from all 16 starts of ``latin_hypercube(16, 0)``.
-It remains because calibration uses it and bench/ calls and wraps it.
-Its starts are numpy's generator driven exactly as
-``scipy.stats.qmc.LatinHypercube`` drives it, without loading scipy.stats,
-drawn once per (count, seed) and kept.  The module attribute ``qmc``
-(scipy.stats.qmc, imported on first access) is no longer used here; it
-stays only because bench/tracing.py reads and restores it.  Importing
-this module and calling ``solve`` load neither scipy nor numpy.
+solver.  ``multi_start_solve`` is one barrier solve from
+``interior_anchor``, which is strictly interior by construction and so
+needs no clip and no repair.  No other start is needed: over 2,495
+problems (the benchmark's sweep and calibration solves, random and
+scaled-weight problems), no solve from 16 Latin-hypercube starts took its
+answer from a start after its first, and every certified answer is the
+anchor solve's.  It remains only because calibration calls it and bench/
+calls and wraps it by name, and its ``settings`` select nothing.  The
+module attribute ``qmc`` (scipy.stats.qmc, imported on first access) is
+not used here either; it stays only because bench/tracing.py reads and
+restores it.  Importing this module and calling ``solve`` or
+``multi_start_solve`` load neither scipy nor numpy.
 
 The solve loop works on plain Python floats, evaluated with
 ``math.log``/``math.log1p``.  On vectors this short, numpy's per-call
@@ -176,22 +176,21 @@ random problems took the same Newton steps and the same trace.)
 Each stage's first point is ``evaluate`` at the z where the last stage
 ended, at the stage's mu, given the last stage's point: x, g1, g2, J and
 the log-barrier sum do not depend on mu, so they are read from it, and
-only f and g are computed, in the same expressions.  Each solve repairs
-its own start (``_repair_to_interior``): one evaluation of the clipped
+only f and g are computed, in the same expressions.  ``solve`` repairs its
+caller's start (``_repair_to_interior``): one evaluation of the clipped
 start, and ``interior_anchor`` in its place if that is not strictly
 interior.  So a solve reads no state that another solve left, and nothing
-is kept between them but the active-set names and the Latin-hypercube
-starts.  The anchor puts l and eta halfway between their constraint floors
-and the top of the box, not 1e-3 below their upper faces: the barrier's
-cost depends on how far its start is from the central path (Boyd &
-Vandenberghe, section 11.3).  On the benchmark's sweep, where every solve
-starts there, the mu = 1 stage ends after 1 Newton step instead of 9.
+is kept between them but the active-set names.  The anchor puts l and eta
+halfway between their constraint floors and the top of the box, not 1e-3
+below their upper faces: the barrier's cost depends on how far its start
+is from the central path (Boyd & Vandenberghe, section 11.3).  On the
+benchmark's sweep, where every solve starts there, the mu = 1 stage ends
+after 1 Newton step instead of 9.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import operator
 import struct
@@ -202,7 +201,8 @@ from math import isfinite, log, log1p, ulp
 
 from .domain import DesignBounds, DesignVector, WeightVector, check_integer
 # gradient_at and total_cost_arrays are not called here, but stay names of
-# this module: bench/tracing.py wraps them by name.
+# this module only because bench/tracing.py wraps them by name; they go
+# once bench/ stops wrapping them.
 from .objective import (ObjectiveCoefficients, ObjectiveValues, gradient_at,
                         quadratic_form, total_cost, total_cost_arrays)
 
@@ -246,7 +246,7 @@ def __getattr__(name: str):
     """``qmc`` is ``scipy.stats.qmc``, imported on first access and then
     kept as a module global (PEP 562).  Nothing in dockopt uses it: it
     stays only because bench/tracing.py reads ``qmc`` and restores it after
-    a traced run."""
+    a traced run, and goes once bench/ stops reading it."""
     if name == "qmc":
         from scipy.stats import qmc
         globals()["qmc"] = qmc
@@ -281,8 +281,14 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Multi-start controls: the most Latin-hypercube starts a solve runs
-    (it stops at the first that converges) and their seed."""
+    """The ``solver`` section of a CLI config.
+
+    ``multistart_count`` is validated (an integer >= 1) but selects
+    nothing: ``multi_start_solve`` makes one solve from
+    ``interior_anchor``.  It stays only because bench/ constructs
+    SolverSettings with it, and goes once bench/ calls ``solve``.
+    ``seed`` is the default seed of the CLI's ``simulate`` and
+    ``check-gradients``."""
 
     multistart_count: int = 16
     seed: int = 0
@@ -568,9 +574,10 @@ def barrier_objective(x: DesignVector, mu: float, w: WeightVector,
 
 def interior_anchor(bounds: DesignBounds, cons: ConstraintSet) -> list[float]:
     """The strictly feasible point, in box-normalized coordinates, at which
-    a solve starts when its clipped start is not strictly interior (see
-    ``_repair_to_interior``); it depends on the bounds and constraints
-    alone, so a configuration can be checked before any solve.
+    ``multi_start_solve`` starts, and ``solve`` too when its clipped start
+    is not strictly interior (see ``_repair_to_interior``); it depends on
+    the bounds and constraints alone, so a configuration can be checked
+    before any solve.
 
     Both constraints grow with l and eta, so A is placed with them at the
     top, 1 - _MARGIN: at the middle of the band where A*l > V and
@@ -775,8 +782,9 @@ def _newton_stage(problem: _BarrierProblem, point: tuple, mu: float,
     return point, iterations
 
 
-def _solve_from_z(problem: _BarrierProblem, z0: list[float]) -> SolveResult:
-    z = _repair_to_interior(problem, z0)
+def _solve_from_z(problem: _BarrierProblem, z: list[float]) -> SolveResult:
+    """The barrier continuation and its polish, from a strictly interior
+    z (see ``_repair_to_interior``)."""
     pack = _STAGE.pack
     stages: list[bytes] = []  # mu, cost, stationarity, inner of each stage
     iterations = 0
@@ -1051,51 +1059,21 @@ def solve(w: WeightVector, coeff: ObjectiveCoefficients, bounds: DesignBounds,
     """
     problem = _BarrierProblem(w, coeff, bounds, cons)
     z0 = problem.z_of_x(x_init.as_tuple())
-    return _solve_from_z(problem, z0)
-
-
-def latin_hypercube(n: int, seed: int) -> list[list[float]]:
-    """n Latin-hypercube points in (0, 1]^5, equal bit for bit to
-    ``scipy.stats.qmc.LatinHypercube(d=5, seed=seed).random(n)``: its
-    ``_random_lhs`` with the same draws from the same generator."""
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(size=(n, 5))
-    perms = np.tile(np.arange(1, n + 1), (5, 1))
-    for row in perms:
-        rng.shuffle(row)
-    return ((perms.T - u) / n).tolist()
-
-
-@functools.lru_cache(maxsize=16)
-def _starts(n: int, seed: int) -> tuple[tuple[float, ...], ...]:
-    """``latin_hypercube(n, seed)`` as tuples, drawn once per (n, seed):
-    a weight study or a calibration solves many problems from the same
-    starts."""
-    return tuple(map(tuple, latin_hypercube(n, seed)))
+    return _solve_from_z(problem, _repair_to_interior(problem, z0))
 
 
 def multi_start_solve(w: WeightVector, coeff: ObjectiveCoefficients,
                       bounds: DesignBounds, cons: ConstraintSet,
                       settings: SolverSettings = SolverSettings()) -> SolveResult:
-    """Run the solver from the Latin-hypercube start points in turn and
-    return the first run that converged, or else the first run.
+    """One barrier solve from ``interior_anchor(bounds, cons)``, which is
+    strictly interior by construction.  InfeasibleProblemError means no
+    point of the clipped box is strictly feasible.
 
-    The problem is convex, so converged starts agree on the optimum, and
-    the starts after the first converged one are not run.  The starts are
-    ``latin_hypercube(settings.multistart_count, settings.seed)``, the
-    points scipy's sampler gives for the same seed, drawn on the first
-    call for that count and seed and kept for later calls.  The module's
-    ``qmc`` is not read; it stays only for bench/tracing.py (see
-    ``__getattr__``).
+    The problem is convex and the certified answer depends on the problem
+    alone, so no other start is needed (see the module docstring).
+    ``settings`` selects nothing.  This function and its ``settings`` stay
+    only because ``calibrate`` and bench/ call it and bench/ wraps it by
+    name; they go once bench/ calls ``solve``.
     """
     problem = _BarrierProblem(w, coeff, bounds, cons)
-    first = None
-    for z in _starts(settings.multistart_count, settings.seed):
-        result = _solve_from_z(problem, list(z))
-        if result.converged:
-            return result
-        if first is None:
-            first = result
-    return first
+    return _solve_from_z(problem, interior_anchor(bounds, cons))

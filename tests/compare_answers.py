@@ -12,14 +12,15 @@ KKT residual, constraint values and active set), the ``repr`` of a
 ``CalibrationResult``, or the message of an ``InfeasibleProblemError``.
 The groups:
 
-* ``sweep``: ``bench/workloads.Sweep`` seeds 1-3, one 16-start
-  ``multi_start_solve`` per weight vector (243 solves);
+* ``sweep``: ``bench/workloads.Sweep`` seeds 1-3, one
+  ``multi_start_solve`` (a solve from ``interior_anchor``) per weight
+  vector (243 solves);
 * ``calibrate``: ``bench/workloads.Calibrate`` seeds 1-2, every solve made
   inside the six calibrations, then each ``CalibrationResult``;
 * ``random``: 1,500 random problems (numpy seed 2108): weights
   U[0.05, 5]^4, coefficients e^U[-7, 6], the default box, V a share
   U[0, 1] of the box's largest A*l, R a share U[0, 1.2] of eta_hi/A_hi,
-  and a start z in [-0.5, 1.5]^5;
+  and a start z in [-0.5, 1.5]^5, repaired as ``solve`` repairs it;
 * ``scaled``: 60 problems (numpy seed 5), weights U[0.5, 2.5]^4,
   coefficients e^U[-4, 4], the default box and constraints, each solved
   from ``DEFAULT_X_INIT`` at w*10^j for j = -8, -6, ..., 8 (540 solves).
@@ -49,7 +50,7 @@ from dockopt.scenarios import DEFAULT_X_INIT  # noqa: E402
 from dockopt.solver import (_INNER_FLOOR, _MAX_INNER_ITERATIONS,  # noqa: E402
                             _MU_SCHEDULE, _POLISH_RESIDUAL,
                             InfeasibleProblemError, _BarrierProblem,
-                            _solve_from_z)
+                            _repair_to_interior, _solve_from_z)
 from helpers import certified_answer  # noqa: E402
 
 
@@ -118,8 +119,9 @@ def random_problems() -> None:
         cons = ConstraintSet(float(rng.uniform(0.0, 1.0)) * hi.A * hi.l,
                              float(rng.uniform(0.0, 1.2)) * hi.eta / hi.A)
         z = [float(zi) for zi in rng.uniform(-0.5, 1.5, 5)]
+        problem = _BarrierProblem(w, coeff, bounds, cons)
         try:
-            result = _solve_from_z(_BarrierProblem(w, coeff, bounds, cons), z)
+            result = _solve_from_z(problem, _repair_to_interior(problem, z))
         except InfeasibleProblemError as exc:
             print("random", i, exc)
             continue

@@ -17,12 +17,12 @@ from dockopt import (ConstraintSet, DesignVector, DockGeometry,
                      KinematicProfile, ObjectiveCoefficients, SimulationConfig,
                      SolverSettings, WeightVector, control_fidelity,
                      default_bounds, docking_tolerance, entry_area_fraction,
-                     multi_start_solve, rayleigh_success_probability,
-                     reference_coefficients, reliability_correlation,
-                     saturate, simulate_docking)
+                     rayleigh_success_probability, reference_coefficients,
+                     reliability_correlation, saturate, simulate_docking)
 from dockopt.cli import main
 from dockopt.objective import gradient_at, total_cost_arrays
 from dockopt.scenarios import builtin_scenarios, scenario_by_name
+from dockopt.solver import multi_start_solve
 from helpers import (grid_min_cost, grid_resolution_slack,
                      quadrature_entry_fraction)
 

@@ -10,9 +10,10 @@ import yaml
 
 from dockopt import (ConstraintSet, DesignVector, DockGeometry,
                      ObjectiveCoefficients, SolverSettings, WeightVector,
-                     multi_start_solve, solve)
+                     solve)
 from dockopt.cli import CSV_HEADER, ConfigError, load_config, main
 from dockopt.scenarios import scenario_by_name
+from dockopt.solver import multi_start_solve
 
 FAST_SOLVER = {"multistart_count": 4, "seed": 0}
 

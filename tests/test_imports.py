@@ -13,7 +13,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 import yaml
 
@@ -72,8 +71,21 @@ def test_calibrate_loads_scipy_on_first_use(tmp_path):
                                      cfg, "--budget", "1")
     assert code == 0
     assert "scipy.optimize" in modules
-    # the solver draws its Latin-hypercube starts with numpy alone
+    # calibrate needs least_squares alone, and the solver no scipy at all
     assert "scipy.stats" not in modules
+
+
+def test_multi_start_solve_loads_neither_scipy_nor_numpy(tmp_path):
+    code, modules = imported_modules(tmp_path, "-c", (
+        "import dockopt.solver as s\n"
+        "from dockopt.domain import WeightVector, default_bounds\n"
+        "from dockopt.objective import ObjectiveCoefficients\n"
+        "r = s.multi_start_solve(WeightVector(1.0, 1.0, 1.0, 1.0),\n"
+        "    ObjectiveCoefficients(), default_bounds(), s.ConstraintSet(),\n"
+        "    s.SolverSettings(multistart_count=16, seed=0))\n"
+        "assert r.converged, r\n"))
+    assert code == 0
+    assert heavy(modules) == []
 
 
 def test_float_only_bulk_cost_loads_no_numpy(tmp_path):
@@ -108,16 +120,6 @@ def test_qmc_resolves_to_scipy_stats_qmc():
     assert qmc is scipy_qmc
     with pytest.raises(AttributeError, match="no_such_name"):
         dockopt.solver.no_such_name  # noqa: B018
-
-
-def test_latin_hypercube_equals_scipy_qmc_bit_for_bit():
-    from scipy.stats import qmc as scipy_qmc
-
-    for seed in [*range(200), 2**31 - 1, 2**32 + 5, 2**63 + 11, 10**30]:
-        for n in (1, 2, 3, 4, 16, 17, 100):
-            expected = scipy_qmc.LatinHypercube(d=5, seed=seed).random(n)
-            starts = np.array(dockopt.solver.latin_hypercube(n, seed))
-            assert starts.tobytes() == expected.tobytes(), (n, seed)
 
 
 def test_calibrate_is_one_least_squares_fit(monkeypatch):

@@ -14,8 +14,7 @@ PUBLIC_NAMES = [
     "SolverSettings", "SolverStatus", "WeightVector", "barrier_objective",
     "builtin_scenarios", "calibrate", "control_fidelity", "default_bounds",
     "docking_reliability", "docking_tolerance", "entry_area_fraction",
-    "hydro_loss", "monetary_cost", "multi_start_solve",
-    "rayleigh_success_probability", "realize_design",
+    "hydro_loss", "monetary_cost", "rayleigh_success_probability", "realize_design",
     "reference_coefficients", "reliability_correlation", "saturate",
     "scenario_by_name", "simulate_docking", "solve", "total_cost",
     "versatility",

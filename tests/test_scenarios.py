@@ -10,9 +10,10 @@ import pytest
 
 import dockopt.scenarios
 from dockopt import (ObjectiveCoefficients, SolverSettings, WeightVector,
-                     calibrate, multi_start_solve, reference_coefficients)
+                     calibrate, reference_coefficients)
 from dockopt.scenarios import (FREE_COEFFICIENTS, Scenario, builtin_scenarios,
                                scenario_by_name)
+from dockopt.solver import multi_start_solve
 
 FAST = SolverSettings(multistart_count=4, seed=0)
 
@@ -91,9 +92,9 @@ class TestCalibrate:
                 == pytest.approx(value, rel=1e-9)
 
     def test_the_solver_settings_change_no_calibration(self):
-        # every solve's x* depends on the problem alone: the number of
-        # starts and their seed change only which start is certified, so
-        # every evaluation, and the whole fit, is the same bit for bit
+        # the settings select nothing: every evaluation is the one solve
+        # from the anchor, so every evaluation, and the whole fit, is the
+        # same bit for bit
         general = scenario_by_name("general")
         first, *others = (
             calibrate(general, ObjectiveCoefficients(), budget=150,

@@ -6,7 +6,7 @@ import itertools
 import math
 import pickle
 import tracemalloc
-from dataclasses import astuple, fields, replace
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -14,11 +14,11 @@ import pytest
 import dockopt.solver
 from dockopt import (ConstraintSet, DesignVector, ObjectiveCoefficients,
                      SolverSettings, SolverStatus, WeightVector,
-                     barrier_objective, default_bounds, multi_start_solve,
-                     reference_coefficients, solve, total_cost)
+                     barrier_objective, default_bounds, reference_coefficients,
+                     solve, total_cost)
 from dockopt.scenarios import DEFAULT_X_INIT, builtin_scenarios
 from dockopt.solver import (BarrierStage, BarrierTrace, InfeasibleProblemError,
-                            _bracketed_root, latin_hypercube)
+                            _bracketed_root, multi_start_solve)
 from helpers import (certified_answer, enumerated_min_cost, grid_min_cost,
                      grid_resolution_slack)
 
@@ -134,7 +134,10 @@ class TestSolve:
     def test_a_repair_makes_one_interior_test(self, monkeypatch):
         # one evaluation of the clipped start, then the anchor if that
         # fails, counted through the problem's evaluate while the repair
-        # runs: 16 starts that the tight box rejects, then one it keeps
+        # runs: 16 Latin-hypercube starts that the tight box rejects, then
+        # one it keeps
+        from scipy.stats import qmc
+
         repair, counts = dockopt.solver._repair_to_interior, []
 
         def counted(problem, z):
@@ -153,7 +156,7 @@ class TestSolve:
 
         monkeypatch.setattr(dockopt.solver, "_repair_to_interior", counted)
         cons = ConstraintSet(volume_min=1.8, tolerance_ratio_min=1.45)
-        for z in latin_hypercube(16, 0):
+        for z in qmc.LatinHypercube(d=5, seed=0).random(16).tolist():
             x_init = DesignVector(*(lo + zi * (hi - lo) for lo, hi, zi in zip(
                 BOUNDS.lower.as_tuple(), BOUNDS.upper.as_tuple(), z)))
             assert solve(W1111, ONES, BOUNDS, cons, x_init).converged
@@ -535,63 +538,21 @@ def test_kept_solve_results_stay_small():
 
 
 class TestMultiStart:
-    def test_single_start_equals_one_latin_point(self):
-        settings = SolverSettings(multistart_count=1, seed=123)
-        first = multi_start_solve(W1111, ONES, BOUNDS, CONS, settings)
-        again = multi_start_solve(W1111, ONES, BOUNDS, CONS, settings)
-        assert first.x_star.as_tuple() == again.x_star.as_tuple()
+    def test_a_failing_solve_runs_once(self, monkeypatch):
+        # one stage cannot converge, and the one solve from the anchor is
+        # returned: no other start is tried
+        monkeypatch.setattr(dockopt.solver, "_MU_SCHEDULE", (1.0,))
+        run, runs = dockopt.solver._solve_from_z, []
 
-    @pytest.mark.parametrize("statuses, winner, runs_made", [
-        # the first converged start, though start 2 would have lower J
-        pytest.param("ICC", 1, 2, id="ICC-1"),
-        # no start converged: every start runs, the first is returned
-        pytest.param("III", 0, 3, id="III-0"),
-        pytest.param("CII", 0, 1, id="CII-0"),
-    ])
-    def test_winner_is_first_converged_start(self, monkeypatch, statuses,
-                                             winner, runs_made):
-        base = solve(W1111, ONES, BOUNDS, CONS, DEFAULT_X_INIT)
-        runs = []
+        def counted(problem, z):
+            runs.append(z)
+            return run(problem, z)
 
-        def fake_run(problem, z):
-            # each later start reports a lower J
-            status = SolverStatus.Converged if statuses[len(runs)] == "C" \
-                else SolverStatus.IterationLimit
-            objective = replace(base.objective,
-                                J=base.objective.J - len(runs))
-            runs.append(replace(base, status=status, objective=objective))
-            return runs[-1]
-
-        monkeypatch.setattr(dockopt.solver, "_solve_from_z", fake_run)
-        settings = SolverSettings(multistart_count=len(statuses), seed=0)
-        result = multi_start_solve(W1111, ONES, BOUNDS, CONS, settings)
-        assert len(runs) == runs_made  # no start runs after a converged one
-        assert result is runs[winner]
-
-    def test_starts_are_drawn_once_per_count_and_seed(self, monkeypatch):
-        dockopt.solver._starts.cache_clear()
-        seeds, starts = [], []
-        default_rng = np.random.default_rng
-
-        def counting_rng(seed):
-            seeds.append(seed)
-            return default_rng(seed)
-
-        def mutating_run(problem, z):
-            # a run that changes its start must not change the next call's
-            starts.append(list(z))
-            z[0] = math.nan
-            return base
-
-        base = solve(W1111, ONES, BOUNDS, CONS, DEFAULT_X_INIT)
-        first_start = dockopt.solver.latin_hypercube(3, 987)[0]
-        monkeypatch.setattr(np.random, "default_rng", counting_rng)
-        monkeypatch.setattr(dockopt.solver, "_solve_from_z", mutating_run)
-        settings = SolverSettings(multistart_count=3, seed=987)
-        multi_start_solve(W1111, ONES, BOUNDS, CONS, settings)
-        multi_start_solve(W1111, ONES, BOUNDS, CONS, settings)
-        assert seeds == [987]  # the second call drew nothing
-        assert starts == [first_start, first_start]
+        monkeypatch.setattr(dockopt.solver, "_solve_from_z", counted)
+        result = multi_start_solve(W1111, ONES, BOUNDS, CONS,
+                                   SolverSettings(multistart_count=16, seed=0))
+        assert result.status is SolverStatus.IterationLimit
+        assert runs == [dockopt.solver.interior_anchor(BOUNDS, CONS)]
 
     def test_builtin_scenarios_agree_across_starts(self):
         for scenario in builtin_scenarios():
